@@ -8,6 +8,7 @@ from .errors import (
     CoreOutOfRange,
     DomainError,
     FuzzyAspError,
+    GuessLimitExceeded,
     Inconsistent,
     MonotonicityError,
     NonConvergent,
@@ -67,7 +68,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationTie", "AlphaCut", "AlphaOutOfRange", "Atom", "CandidateResult",
     "ClosureTooLarge", "CoreOutOfRange", "DomainError", "FALSE", "FuzzyAspError",
-    "FuzzyTruth", "GroundProgram", "Inconsistent", "Interpretation", "Literal",
+    "FuzzyTruth", "GroundProgram", "GuessLimitExceeded", "Inconsistent",
+    "Interpretation", "Literal",
     "Measure", "MonotonicityError", "Naf", "NonConvergent", "NotRestricted",
     "Ordering", "OrderViolation", "ParseError", "Program", "QuadratureFailure",
     "Rel", "Rule", "SolveReport", "Status", "TRUE", "UNKNOWN", "UnsafeRule", "Var",

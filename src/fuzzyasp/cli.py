@@ -2,7 +2,8 @@
 
 Subcommands: solve, eval, order, measure, table, oracle, parse-only.
 Exit codes for ``solve``: 0 when at least one answer set exists, 1 when
-none does, 2 on parse/ground errors.  Other subcommands use 0/2.
+none does, 2 on parse/ground errors and other reported errors (such as too
+many naf guesses).  Other subcommands use 0/2.
 """
 
 from __future__ import annotations
@@ -271,8 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute answer sets of a program file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="structured output")
-    p.add_argument("--trace", action="store_true", help="per-iteration assignments")
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--trace", action="store_true",
+                   help="assignments after each component evaluation round")
+    p.add_argument("--max-iter", type=int, default=10_000,
+                   help="rounds allowed per cyclic component (default 10000)")
     add_tol(p)
     p.set_defaults(func=_cmd_solve)
 

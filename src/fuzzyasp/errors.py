@@ -80,3 +80,7 @@ class QuadratureFailure(FuzzyAspError):
 
 class ClosureTooLarge(FuzzyAspError):
     """Operator closure exceeded the configured size cap."""
+
+
+class GuessLimitExceeded(FuzzyAspError, ValueError):
+    """Naf guesses needed even at guess depth 1 exceed the configured cap."""

@@ -2,26 +2,30 @@
 
 This module is the correctness yardstick for the closed-form measures and
 the solver's brute-force tests; nothing here sits on a production hot path.
+numpy and scipy are imported inside the numeric checks only, so the solver's
+use of :func:`closure_enumerate` (and importing the CLI) does not load them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
-
-import numpy as np
-from scipy.integrate import quad
+from typing import TYPE_CHECKING, NamedTuple
 
 from .connectives import conj, disj, kagg, naf, negate
 from .errors import AggregationTie, ClosureTooLarge, QuadratureFailure
 from .measures import density, uncertainty_degree
 from .truthspace import FuzzyTruth
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_SEED = 1729
 
 
 def integrate_density_mean(x: FuzzyTruth, tol: float = 1e-8) -> float:
     """Adaptive quadrature of v * density(x, v) over [0, 1]."""
+    from scipy.integrate import quad
+
     if uncertainty_degree(x) <= 0.0:
         raise ValueError("point values have a Dirac density; no quadrature")
     breakpoints = sorted({p for p in x.params if 0.0 < p < 1.0})
@@ -52,6 +56,8 @@ def _segments(x: FuzzyTruth):
 
 def sample_density(x: FuzzyTruth, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n variates by closed-form inversion of the piecewise CDF."""
+    import numpy as np
+
     a, b, c, d = x.params
     lo, hi, h, m1, m2, m3 = _segments(x)
     u = rng.random(n) * (m1 + m2 + m3)
@@ -79,6 +85,8 @@ def prob_leq(
     x: FuzzyTruth, y: FuzzyTruth, samples: int = 100_000, seed: int = DEFAULT_SEED
 ) -> ProbEstimate:
     """Monte Carlo estimate of Prob(actual(x) <= actual(y)) for independent draws."""
+    import numpy as np
+
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
     if uncertainty_degree(x) <= 0.0 or uncertainty_degree(y) <= 0.0:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CoreOutOfRange, DomainError, OrderViolation, ParseError, UnsafeRule
 from .truthspace import TRUE, FuzzyTruth, ifn, tfn, trfn
@@ -154,9 +156,21 @@ class Program:
         return "\n".join(r.render() for r in self.rules) + ("\n" if self.rules else "")
 
 
+class Component(NamedTuple):
+    """Head literals that depend on one another, in index order."""
+
+    heads: tuple
+    cyclic: bool  # some head depends, directly or not, on a head in here
+
+
 @dataclass(frozen=True)
 class GroundProgram:
-    """Variable-free program plus an index from head literal to its rules."""
+    """Variable-free program plus an index from head literal to its rules.
+
+    Derived views (the literal list, rules per head, the dependency
+    condensation) are computed on first use and cached: the program is
+    immutable.
+    """
 
     rules: tuple = ()
     index: dict = field(default_factory=dict, compare=False)
@@ -165,28 +179,138 @@ class GroundProgram:
     def head_literals(self) -> tuple:
         return tuple(self.index.keys())
 
-    @property
+    @cached_property
     def literals(self) -> tuple:
         """All ground literals occurring anywhere, in first-occurrence order."""
+        return self._occurring(with_naf=True)
+
+    @cached_property
+    def positive_literals(self) -> tuple:
+        """Heads and positive body literals, in first-occurrence order.
+
+        These are the literals of any reduct: freezing naf items turns them
+        into constants.
+        """
+        return self._occurring(with_naf=False) if self.has_naf else self.literals
+
+    def _occurring(self, with_naf: bool) -> tuple:
         seen: dict[Literal, None] = {}
         for r in self.rules:
             seen.setdefault(r.head)
             for item in r.body:
                 if isinstance(item, Naf):
-                    seen.setdefault(item.literal)
+                    if with_naf:
+                        seen.setdefault(item.literal)
                 elif isinstance(item, Literal):
                     seen.setdefault(item)
         return tuple(seen)
 
+    @cached_property
+    def naf_literals(self) -> tuple:
+        """Literals under naf, in first-occurrence order."""
+        seen: dict[Literal, None] = {}
+        for r in self.rules:
+            for literal in r.naf_body:
+                seen.setdefault(literal)
+        return tuple(seen)
+
+    @cached_property
+    def _rules_by_head(self) -> dict:
+        return {
+            head: tuple(self.rules[i] for i in positions)
+            for head, positions in self.index.items()
+        }
+
     def rules_for(self, literal: Literal) -> tuple:
-        return tuple(self.rules[i] for i in self.index.get(literal, ()))
+        return self._rules_by_head.get(literal, ())
 
     @property
     def has_naf(self) -> bool:
-        return any(r.naf_body for r in self.rules)
+        return bool(self.naf_literals)
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """Strongly connected components of the head literals, dependencies first.
+
+        A head depends on the literals in its rules' bodies, positive and
+        naf, and on its complement when that has rules too (their values
+        aggregate each other).  Literals without rules are constants and
+        carry no edge.
+        """
+        return self._condense(naf_edges=True)
+
+    @cached_property
+    def frozen_components(self) -> tuple[Component, ...]:
+        """The same condensation without naf edges: the order once naf values are fixed."""
+        if not self.has_naf:
+            return self.components
+        return self._condense(naf_edges=False)
 
     def render(self) -> str:
         return "\n".join(r.render() for r in self.rules) + ("\n" if self.rules else "")
+
+    def _condense(self, naf_edges: bool) -> tuple[Component, ...]:
+        heads = self.index
+        deps: dict[Literal, dict] = {}
+        for head in heads:
+            out: dict[Literal, None] = {}
+            for rule in self.rules_for(head):
+                for item in rule.body:
+                    if isinstance(item, Naf):
+                        if naf_edges and item.literal in heads:
+                            out.setdefault(item.literal)
+                    elif isinstance(item, Literal) and item in heads:
+                        out.setdefault(item)
+            comp = head.complement()
+            if comp in heads:
+                out.setdefault(comp)
+            deps[head] = out
+        return _strongly_connected(deps)
+
+
+def _strongly_connected(deps: dict) -> tuple[Component, ...]:
+    """Tarjan's algorithm, iterative; each component comes after those it depends on."""
+    position = {node: i for i, node in enumerate(deps)}
+    order: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    found: list[Component] = []
+    for root in deps:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(deps[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(deps[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], order[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order[node]:
+                    members = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        members.append(member)
+                        if member == node:
+                            break
+                    members.sort(key=position.__getitem__)
+                    cyclic = len(members) > 1 or node in deps[node]
+                    found.append(Component(tuple(members), cyclic))
+    return tuple(found)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from .connectives import conj, disj, kagg, naf, negate
-from .errors import AggregationTie, Inconsistent, MonotonicityError, NonConvergent
+from .errors import (
+    AggregationTie,
+    ClosureTooLarge,
+    GuessLimitExceeded,
+    Inconsistent,
+    MonotonicityError,
+    NonConvergent,
+)
 from .measures import truth_degree, uncertainty_degree
 from .program import FuzzyTruth, GroundProgram, Literal, Naf, Program, Rule, ground
 from .truthspace import DEFAULT_EPS, TRUE, UNKNOWN, equal
@@ -53,16 +60,21 @@ def is_inconsistent(i: Interpretation, eps: float = DEFAULT_EPS):
 
     Returns the offending atom, or None.
     """
+    return _contradiction(i.assignment, i.assignment, eps)
+
+
+def _contradiction(values: dict, literals, eps: float):
+    """:func:`is_inconsistent` over the atoms of ``literals`` only."""
     seen = set()
-    for literal in i.assignment:
+    for literal in literals:
         atom = literal.atom
-        if atom in seen:
+        comp = literal.complement()
+        if atom in seen or comp not in values:
             continue
         seen.add(atom)
-        pos, neg = Literal(atom), Literal(atom, True)
-        if pos not in i.assignment or neg not in i.assignment:
-            continue
-        vp, vn = i.value(pos), i.value(neg)
+        vp, vn = values[literal], values[comp]
+        if literal.negated:
+            vp, vn = vn, vp
         if abs(uncertainty_degree(vp) - uncertainty_degree(vn)) <= eps and (
             abs(truth_degree(vp) - (1.0 - truth_degree(vn))) > eps
         ):
@@ -77,14 +89,22 @@ def eval_body(i: Interpretation, rule: Rule) -> FuzzyTruth:
     through, naf literals contribute naf(I(b)).  Order matters: conjunction
     with truncated operands is not associative.
     """
+    return _body(i.assignment, rule, None)
+
+
+def _body(values: dict, rule: Rule, naf_values: dict | None) -> FuzzyTruth:
+    """:func:`eval_body` on a plain assignment; ``naf_values`` overrides naf items."""
     acc = None
     for item in rule.body:
         if isinstance(item, FuzzyTruth):
             v = item
         elif isinstance(item, Naf):
-            v = naf(i.value(item.literal))
+            if naf_values is None:
+                v = naf(values.get(item.literal, UNKNOWN))
+            else:
+                v = naf_values[item.literal]
         else:
-            v = i.value(item)
+            v = values.get(item, UNKNOWN)
         acc = v if acc is None else conj(acc, v)
     if acc is None:
         acc = TRUE
@@ -102,27 +122,26 @@ def satisfies(i: Interpretation, rule: Rule, eps: float = DEFAULT_EPS) -> bool:
     return truth_degree(head) > truth_degree(body) + eps
 
 
-def _contribution(i: Interpretation, gp: GroundProgram, literal: Literal) -> FuzzyTruth:
-    """Disjunction fold (program order) of the body values of ``literal``'s rules."""
+def _contribution(values: dict, rules: tuple, naf_values) -> FuzzyTruth:
+    """Disjunction fold (program order) of the body values of one head's rules."""
     acc = None
-    for rule in gp.rules_for(literal):
-        v = eval_body(i, rule)
+    for rule in rules:
+        v = _body(values, rule, naf_values)
         acc = v if acc is None else disj(acc, v)
     return acc
 
 
-def _target(i, gp: GroundProgram, literal: Literal, eps: float) -> FuzzyTruth:
-    """The supported value for a head literal.
+def _target(values: dict, own: tuple, against: tuple, naf_values, eps: float) -> FuzzyTruth:
+    """The supported value for a head literal with rules ``own``.
 
-    The complement's combined evidence is aggregated in only when the
-    complement has rules of its own; AggregationTie propagates.
+    The complement's combined evidence (its rules, ``against``) is
+    aggregated in only when the complement has rules of its own;
+    AggregationTie propagates.
     """
-    own = _contribution(i, gp, literal)
-    comp = literal.complement()
-    if gp.rules_for(comp):
-        against = _contribution(i, gp, comp)
-        return kagg(own, negate(against), eps)
-    return own
+    value = _contribution(values, own, naf_values)
+    if against:
+        return kagg(value, negate(_contribution(values, against, naf_values)), eps)
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,10 +172,11 @@ def is_supported(
     complement that also has rules.
     """
     for literal in gp.head_literals:
-        comp_ruled = bool(gp.rules_for(literal.complement()))
-        condition = 3 if comp_ruled else (1 if len(gp.rules_for(literal)) == 1 else 2)
+        own = gp.rules_for(literal)
+        against = gp.rules_for(literal.complement())
+        condition = 3 if against else (1 if len(own) == 1 else 2)
         try:
-            expected = _target(i, gp, literal, eps)
+            expected = _target(i.assignment, own, against, None, eps)
         except AggregationTie:
             return Violation(literal, 3)
         if not equal(i.value(literal), expected, eps):
@@ -165,16 +185,16 @@ def is_supported(
 
 
 def reduct(gp: GroundProgram, i: Interpretation) -> GroundProgram:
-    """Freeze every naf literal at naf(I(b)); the result is positive."""
-    return _freeze_naf(gp, lambda b: naf(i.value(b)))
+    """Freeze every naf literal at naf(I(b)); the result is positive.
 
-
-def _freeze_naf(gp: GroundProgram, naf_value) -> GroundProgram:
+    The solver itself never builds reducts: it evaluates ``gp`` with the
+    frozen naf values passed alongside (see :func:`kmin_supported_model`).
+    """
     rules = tuple(
         Rule(
             r.head,
             tuple(
-                naf_value(item.literal) if isinstance(item, Naf) else item
+                naf(i.value(item.literal)) if isinstance(item, Naf) else item
                 for item in r.body
             ),
             r.weight,
@@ -182,26 +202,85 @@ def _freeze_naf(gp: GroundProgram, naf_value) -> GroundProgram:
         )
         for r in gp.rules
     )
-    index = {}
-    for idx, rule in enumerate(rules):
-        index.setdefault(rule.head, ())
-        index[rule.head] += (idx,)
-    return GroundProgram(rules, index)
+    return GroundProgram(rules, gp.index)
 
 
-def _initial(gp: GroundProgram) -> Interpretation:
-    return Interpretation({l: UNKNOWN for l in gp.literals})
+def _fixpoint(
+    gp: GroundProgram,
+    eps: float,
+    max_iter: int,
+    *,
+    naf_values: dict | None = None,
+    evolving: bool = False,
+    trace: list | None = None,
+    report: SolveReport | None = None,
+) -> Interpretation:
+    """Fixpoint of the supported-value operator, one component at a time.
 
+    Components come dependencies first, so every literal a component reads
+    from outside itself is already final when it is evaluated.  An acyclic
+    component is evaluated once; a cyclic one is iterated Jacobi-style over
+    its own heads until they are stable within ``eps``, for at most
+    ``max_iter`` rounds (NonConvergent past that).  Every evaluation of a
+    component is one round: it counts in ``report.iterations`` and appends
+    one snapshot of the whole interpretation to ``trace``.
 
-def _step(i: Interpretation, gp: GroundProgram, eps: float) -> Interpretation:
-    """One Jacobi pass: every head recomputed from the previous interpretation."""
-    new = dict(i.assignment)
-    for literal in gp.head_literals:
-        try:
-            new[literal] = _target(i, gp, literal, eps)
-        except AggregationTie as exc:
-            raise Inconsistent(literal.atom) from exc
-    return Interpretation(new)
+    With ``evolving`` each naf item reads the current interpretation, as in
+    the operator trajectory of a program with naf; a cyclic component that
+    revisits an earlier state is non-convergent.  Otherwise naf items take
+    their value from ``naf_values`` (``gp.frozen_components`` order, in
+    which naf is no dependency), no round of a cyclic component may raise a
+    head's uncertainty (MonotonicityError; an acyclic one starts from
+    unknown, the least certain value, and has one round), and a component
+    whose fixpoint holds a contradictory atom raises Inconsistent.  An
+    aggregation tie raises Inconsistent in both modes.
+    """
+    if evolving:
+        values = dict.fromkeys(gp.literals, UNKNOWN)
+        order = gp.components
+    else:
+        values = dict.fromkeys(gp.positive_literals, UNKNOWN)
+        order = gp.frozen_components
+    for component in order:
+        heads = component.heads
+        plan = [(h, gp.rules_for(h), gp.rules_for(h.complement())) for h in heads]
+        # states of a cyclic trajectory so far; every head starts unknown
+        seen = {UNKNOWN.params * len(heads)} if evolving and component.cyclic else None
+        for rounds in range(1, (max_iter if component.cyclic else 1) + 1):
+            new = []
+            for head, own, against in plan:
+                try:
+                    new.append(_target(values, own, against, naf_values, eps))
+                except AggregationTie as exc:
+                    raise Inconsistent(head.atom) from exc
+            previous = [values[h] for h in heads]
+            values.update(zip(heads, new))
+            if report is not None:
+                report.iterations += 1
+            if trace is not None:
+                trace.append(dict(values))
+            if not component.cyclic:
+                break  # its first round started from unknown: nothing to compare
+            if not evolving:
+                for head, old, value in zip(heads, previous, new):
+                    if uncertainty_degree(value) > uncertainty_degree(old) + eps:
+                        raise MonotonicityError(
+                            f"uncertainty increased at {head}: {old} -> {value}"
+                        )
+            if all(equal(old, value, eps) for old, value in zip(previous, new)):
+                break
+            if seen is not None:
+                state = tuple(round(p, 12) for v in new for p in v.params)
+                if state in seen:
+                    raise NonConvergent(rounds)
+                seen.add(state)
+        else:
+            raise NonConvergent(max_iter)
+        if not evolving:
+            atom = _contradiction(values, heads, eps)
+            if atom is not None:
+                raise Inconsistent(atom)
+    return Interpretation(values)
 
 
 def kmin_supported_model(
@@ -210,39 +289,24 @@ def kmin_supported_model(
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
     trace: list | None = None,
+    naf_values: dict | None = None,
 ) -> Interpretation:
     """Fixpoint of the supported-value operator on a positive program.
 
-    Starts from the all-unknown interpretation; every pass must leave each
+    Starts from the all-unknown interpretation; every round must leave each
     literal at least as certain as before (MonotonicityError otherwise).
-    Raises NonConvergent past ``max_iter`` and Inconsistent when the
-    fixpoint assigns contradictory equally-certain complements or an
-    aggregation ties.
+    Raises NonConvergent past ``max_iter`` rounds of one cyclic component
+    and Inconsistent when the fixpoint assigns contradictory equally-certain
+    complements or an aggregation ties.
+
+    ``naf_values`` maps every naf literal b of ``gp`` to the value its
+    ``not b`` items take; ``gp`` is then evaluated as the positive program
+    with those items frozen, without building it.  Without it ``gp`` must
+    be positive.
     """
-    return _kmin_counted(gp, eps, max_iter, trace)[0]
-
-
-def _kmin_counted(gp: GroundProgram, eps, max_iter, trace=None):
-    if gp.has_naf:
+    if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
-    current = _initial(gp)
-    for passno in range(1, max_iter + 1):
-        new = _step(current, gp, eps)
-        if trace is not None:
-            trace.append(dict(new.assignment))
-        for literal, value in new.items():
-            if uncertainty_degree(value) > uncertainty_degree(current.value(literal)) + eps:
-                raise MonotonicityError(
-                    f"uncertainty increased at {literal}: "
-                    f"{current.value(literal)} -> {value}"
-                )
-        if interpretations_equal(new, current, eps):
-            atom = is_inconsistent(new, eps)
-            if atom is not None:
-                raise Inconsistent(atom)
-            return new, passno
-        current = new
-    raise NonConvergent(max_iter)
+    return _fixpoint(gp, eps, max_iter, naf_values=naf_values, trace=trace)
 
 
 class Status(enum.Enum):
@@ -263,6 +327,13 @@ class CandidateResult:
 
 @dataclass
 class SolveReport:
+    """What :func:`solve` found and did.
+
+    ``iterations`` counts the component evaluation rounds of the main
+    fixpoint (the operator trajectory when the program has naf), summed
+    over components; ``trace`` holds one interpretation snapshot per round.
+    """
+
     answer_sets: list = field(default_factory=list)
     candidates: list = field(default_factory=list)
     iterations: int = 0
@@ -291,8 +362,9 @@ def verify_answer_set(
     violation = is_supported(i, gp, eps)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
+    frozen = {b: naf(i.value(b)) for b in gp.naf_literals}
     try:
-        fix = kmin_supported_model(reduct(gp, i), eps=eps, max_iter=max_iter)
+        fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=frozen)
     except Inconsistent as exc:
         return CandidateResult(i, Status.INCONSISTENT, exc.atom)
     except NonConvergent:
@@ -302,77 +374,30 @@ def verify_answer_set(
     return CandidateResult(i, Status.ANSWER_SET)
 
 
-def _state_key(i: Interpretation, literals) -> tuple:
-    return tuple(
-        round(p, 12) for l in literals for p in i.value(l).params
-    )
-
-
-def _iterate_combined(gp: GroundProgram, eps, max_iter, trace):
-    """Operator trajectory with naf values evolving with the interpretation.
-
-    Returns (interpretation or None, iterations, failure detail).  A state
-    revisited beyond the immediate predecessor is a proper cycle, reported
-    as non-convergent without burning through the iteration cap.
-    """
-    literals = gp.literals
-    current = _initial(gp)
-    seen = {_state_key(current, literals)}
-    for passno in range(1, max_iter + 1):
-        try:
-            new = _step(current, gp, eps)
-        except Inconsistent as exc:
-            return None, passno, CandidateResult(None, Status.INCONSISTENT, exc.atom)
-        if trace is not None:
-            trace.append(dict(new.assignment))
-        if interpretations_equal(new, current, eps):
-            return new, passno, None
-        key = _state_key(new, literals)
-        if key in seen:
-            return None, passno, CandidateResult(None, Status.NON_CONVERGENT, None)
-        seen.add(key)
-        current = new
-    return None, max_iter, CandidateResult(None, Status.NON_CONVERGENT, None)
-
-
 def _has_naf_cycle(gp: GroundProgram) -> bool:
     """True when some dependency cycle passes through a naf edge.
 
     Without such a cycle the program is stratified: naf values are uniquely
     determined bottom-up and the operator trajectory's fixpoint is the only
-    answer-set candidate, so no guessing is needed.  Complement-coupled
-    heads count as mutually dependent (their targets aggregate each other).
+    answer-set candidate, so no guessing is needed.  A naf edge lies on a
+    cycle exactly when both its ends share a component of
+    :attr:`GroundProgram.components` (complement-coupled heads count as
+    mutually dependent there).
     """
-    edges: dict[Literal, set] = {}
-    naf_edges = []
-    for rule in gp.rules:
-        for item in rule.body:
-            if isinstance(item, Naf):
-                edges.setdefault(rule.head, set()).add(item.literal)
-                naf_edges.append((rule.head, item.literal))
-            elif isinstance(item, Literal):
-                edges.setdefault(rule.head, set()).add(item)
-    for literal in gp.head_literals:
-        comp = literal.complement()
-        if gp.rules_for(comp):
-            edges.setdefault(literal, set()).add(comp)
-    for head, naffed in naf_edges:
-        seen = {naffed}
-        stack = [naffed]
-        while stack:
-            node = stack.pop()
-            if node == head:
-                return True
-            for nxt in edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return False
+    where = {h: n for n, component in enumerate(gp.components) for h in component.heads}
+    return any(
+        where.get(b) == where[rule.head] for rule in gp.rules for b in rule.naf_body
+    )
 
 
-def _naf_guess_domain(gp: GroundProgram, depth: int):
-    """Possible naf values: image of the weight closure under naf."""
-    from .errors import ClosureTooLarge
+def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
+    """Possible naf values: image of the weight closure under naf.
+
+    The closure is taken at operator depth ``depth``, lowered one step at a
+    time while it exceeds the closure cap or while ``len(domain) ** slots``
+    exceeds ``max_guesses``, but never below 1 for the second reason.
+    Returns (domain, depth used); depth 0 means the bare seeds.
+    """
     from .oracle import closure_enumerate
 
     seeds = {TRUE, UNKNOWN}
@@ -381,18 +406,21 @@ def _naf_guess_domain(gp: GroundProgram, depth: int):
         for item in rule.body:
             if isinstance(item, FuzzyTruth):
                 seeds.add(item)
-    while depth >= 1:
-        try:
-            closure = closure_enumerate(seeds, depth)
-            break
-        except ClosureTooLarge:
-            depth -= 1
-    else:
-        closure = tuple(seeds)
-    domain: dict[float, FuzzyTruth] = {}
-    for v in closure:
-        domain.setdefault(round(1.0 - v.b, 9), naf(v))
-    return list(domain.values()), depth
+    while True:
+        if depth >= 1:
+            try:
+                closure = closure_enumerate(seeds, depth)
+            except ClosureTooLarge:
+                depth -= 1
+                continue
+        else:
+            closure = tuple(seeds)
+        domain: dict[float, FuzzyTruth] = {}
+        for v in closure:
+            domain.setdefault(round(1.0 - v.b, 9), naf(v))
+        if len(domain) ** slots <= max_guesses or depth <= 1:
+            return list(domain.values()), depth
+        depth -= 1
 
 
 def solve(
@@ -406,10 +434,22 @@ def solve(
 ) -> SolveReport:
     """Ground, generate candidates, verify each, and report.
 
+    Every fixpoint is computed component by component: the ground program's
+    head literals are condensed into strongly connected components of the
+    dependency graph (positive, naf and complement edges) and evaluated
+    bottom-up, an acyclic component once and a cyclic one Jacobi-style
+    until stable.  ``report.iterations`` sums these evaluation rounds,
+    ``collect_trace`` keeps one snapshot per round, and ``max_iter`` caps
+    the rounds of each cyclic component.
+
     Positive programs have the unique operator fixpoint as their only
     candidate.  With naf, the evolving-naf trajectory is tried first and
-    then every self-consistent assignment of naf values drawn from the
-    operator closure of the program weights (depth ``guess_depth``).
+    then, when a dependency cycle runs through naf, every self-consistent
+    assignment of naf values drawn from the operator closure of the program
+    weights (depth ``guess_depth``, lowered until the guesses fit in
+    ``max_guesses``; GuessLimitExceeded when even depth 1 does not).  Guess
+    and verification fixpoints evaluate the program with its naf items
+    frozen, in the finer order where naf is no dependency.
     """
     gp = ground(program) if isinstance(program, Program) else program
     trace = [] if collect_trace else None
@@ -421,28 +461,16 @@ def solve(
         if not any(interpretations_equal(candidate, c, eps) for c in candidates):
             candidates.append(candidate)
 
-    if not gp.has_naf:
-        try:
-            fix, report.iterations = _kmin_counted(gp, eps, max_iter, trace)
-            add_candidate(fix)
-        except Inconsistent as exc:
-            report.candidates.append(
-                CandidateResult(None, Status.INCONSISTENT, exc.atom)
-            )
-        except NonConvergent:
-            report.candidates.append(CandidateResult(None, Status.NON_CONVERGENT, None))
-    else:
-        fix, passes, failure = _iterate_combined(gp, eps, max_iter, trace)
-        report.iterations = passes
-        if fix is not None:
-            add_candidate(fix)
-        elif failure is not None:
-            report.candidates.append(failure)
-
-        if _has_naf_cycle(gp):
-            _guess_candidates(
-                gp, add_candidate, report, eps, max_iter, guess_depth, max_guesses
-            )
+    try:
+        add_candidate(
+            _fixpoint(gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report)
+        )
+    except Inconsistent as exc:
+        report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
+    except NonConvergent:
+        report.candidates.append(CandidateResult(None, Status.NON_CONVERGENT, None))
+    if gp.has_naf and _has_naf_cycle(gp):
+        _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max_guesses)
 
     for candidate in candidates:
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)
@@ -459,26 +487,17 @@ def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max
     fixpoint of the program frozen at those values, so enumerating the
     (deduplicated) naf images of the closure finds all of them.
     """
-    naf_literals = []
-    for rule in gp.rules:
-        for lit in rule.naf_body:
-            if lit not in naf_literals:
-                naf_literals.append(lit)
-    domain, depth_used = _naf_guess_domain(gp, guess_depth)
-    while len(domain) ** len(naf_literals) > max_guesses and depth_used > 1:
-        depth_used -= 1
-        domain, depth_used = _naf_guess_domain(gp, depth_used)
-    report.guess_depth = depth_used
-    if len(domain) ** len(naf_literals) > max_guesses:
-        raise ValueError(
-            f"{len(domain) ** len(naf_literals)} naf guesses exceed "
-            f"max_guesses={max_guesses}"
-        )
+    naf_literals = gp.naf_literals
+    domain, report.guess_depth = _naf_guess_domain(
+        gp, guess_depth, len(naf_literals), max_guesses
+    )
+    guesses = len(domain) ** len(naf_literals)
+    if guesses > max_guesses:
+        raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
     for combo in itertools.product(domain, repeat=len(naf_literals)):
         guess = dict(zip(naf_literals, combo))
-        frozen = _freeze_naf(gp, lambda b: guess[b])
         try:
-            fix = kmin_supported_model(frozen, eps=eps, max_iter=max_iter)
+            fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
         except (Inconsistent, NonConvergent):
             continue
         if all(equal(naf(fix.value(b)), guess[b], eps) for b in naf_literals):

@@ -1,6 +1,10 @@
 import json
+import os
+import pathlib
 import random
 import string
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +81,35 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", tumor_file, "--trace")
         assert code == 0
         assert "pass 1:" in out
+
+    def test_guess_limit_exit_two(self, capsys, tmp_path):
+        # ten independent even loops: 2**20 naf guesses even at depth 1
+        path = tmp_path / "loops.fasp"
+        path.write_text("".join(f"a{i} <- not b{i}. b{i} <- not a{i}.\n" for i in range(10)))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 1048576 naf guesses exceed max_guesses=100000")
+
+    def test_solving_leaves_numpy_and_scipy_unloaded(self, tmp_path):
+        # the naf-cycle program needs the guess domain from the operator
+        # closure, which lives next to the quadrature and Monte Carlo checks
+        path = tmp_path / "choice.fasp"
+        path.write_text("a <- not b.\nb <- not a.\n")
+        child = (
+            "import sys\n"
+            "from fuzzyasp.cli import main\n"
+            f"assert main(['solve', {str(path)!r}, '--json']) == 0\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestParseOnly:

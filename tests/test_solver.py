@@ -9,6 +9,7 @@ from fuzzyasp import (
     TRUE,
     UNKNOWN,
     Atom,
+    GuessLimitExceeded,
     Interpretation,
     Literal,
     Status,
@@ -325,3 +326,32 @@ class TestSolve:
         report = solve(parse(tumor_source), collect_trace=True)
         assert report.trace
         assert report.iterations == len(report.trace)
+
+
+class TestGuessLimits:
+    # naf guess domain of this loop: 5, 15 and 131 values at depths 1, 2
+    # and 3, so 25, 225 and 17161 guesses for its two naf literals
+    WEIGHTED_LOOP = "a <- not b. [ifn(0.5,0.5)] b <- not a."
+
+    def test_requested_depth_is_kept_when_it_fits(self):
+        report = solve(parse(self.WEIGHTED_LOOP), guess_depth=2)
+        assert report.guess_depth == 2
+        assert len(report.answer_sets) == 1
+
+    def test_default_depth(self):
+        assert solve(parse(self.WEIGHTED_LOOP)).guess_depth == 3
+
+    @pytest.mark.parametrize("max_guesses, depth", [(17161, 3), (17160, 2), (225, 2), (224, 1), (25, 1)])
+    def test_depth_is_lowered_until_the_guesses_fit(self, max_guesses, depth):
+        report = solve(parse(self.WEIGHTED_LOOP), max_guesses=max_guesses)
+        assert report.guess_depth == depth
+        assert len(report.answer_sets) == 1
+
+    def test_error_when_depth_one_does_not_fit(self):
+        with pytest.raises(GuessLimitExceeded, match="25 naf guesses exceed max_guesses=24"):
+            solve(parse(self.WEIGHTED_LOOP), max_guesses=24)
+        # existing callers that catch ValueError keep working
+        assert issubclass(GuessLimitExceeded, ValueError)
+
+    def test_no_guessing_without_a_naf_cycle(self):
+        assert solve(parse("b. a <- b, not c."), max_guesses=0).guess_depth is None

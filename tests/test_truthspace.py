@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzyasp import (
@@ -85,8 +85,10 @@ class TestMembership:
             assert mu == 0
 
     @given(any_values(), unit, unit, unit)
+    @example(x=ifn(0.0, 0.96875), v1=0.96875, v2=0.96875, lam=0.24703600610192106)
     def test_convexity(self, x, v1, v2, lam):
-        mid = lam * v1 + (1 - lam) * v2
+        # the blend can round one ulp past both ends (0.96875 -> 0.9687500000000001)
+        mid = min(max(lam * v1 + (1 - lam) * v2, min(v1, v2)), max(v1, v2))
         assert membership(x, mid) >= min(membership(x, v1), membership(x, v2)) - 1e-9
 
     @given(any_values())
