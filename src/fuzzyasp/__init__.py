@@ -13,6 +13,7 @@ from .errors import (
     MonotonicityError,
     NonConvergent,
     NotRestricted,
+    OracleArgumentError,
     OrderViolation,
     ParseError,
     QuadratureFailure,
@@ -31,7 +32,9 @@ from .measures import (
     truth_degree,
     uncertainty_degree,
 )
-from .program import Atom, GroundProgram, Literal, Naf, Program, Rule, Var, ground, parse
+from .program import (
+    Atom, GroundProgram, Literal, Naf, Program, Rule, Var, ground, parse, parse_value,
+)
 from .solver import (
     CandidateResult,
     Interpretation,
@@ -58,7 +61,6 @@ from .truthspace import (
     ifn,
     make,
     membership,
-    parse_value,
     tfn,
     trfn,
 )
@@ -71,7 +73,8 @@ __all__ = [
     "FuzzyTruth", "GroundProgram", "GuessLimitExceeded", "Inconsistent",
     "Interpretation", "Literal",
     "Measure", "MonotonicityError", "Naf", "NonConvergent", "NotRestricted",
-    "Ordering", "OrderViolation", "ParseError", "Program", "QuadratureFailure",
+    "OracleArgumentError", "Ordering", "OrderViolation", "ParseError", "Program",
+    "QuadratureFailure",
     "Rel", "Rule", "SolveReport", "Status", "TRUE", "UNKNOWN", "UnsafeRule", "Var",
     "alpha_cut", "compare", "conj", "density", "disj", "equal", "equivalent_interval",
     "eval_body", "ground", "ifn", "interpretations_equal", "is_inconsistent",

@@ -4,6 +4,10 @@ Subcommands: solve, eval, order, measure, table, oracle, parse-only.
 Exit codes for ``solve``: 0 when at least one answer set exists, 1 when
 none does, 2 on parse/ground errors and other reported errors (such as too
 many naf guesses).  Other subcommands use 0/2.
+
+Every fuzzy value argument (of eval, measure, order and oracle) is read by
+the program parser's grammar, so a malformed value or number is reported
+with its column and exit code 2, as in a program file.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from . import oracle as oracle_mod
 from .errors import FuzzyAspError, ParseError
 from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
-from .program import ground, parse
+from .program import _Parser, ground, parse, parse_value
 from .solver import solve
 from .table import lattice_table
-from .truthspace import DEFAULT_EPS, FuzzyTruth, parse_value
+from .truthspace import DEFAULT_EPS, FuzzyTruth
 
 
 def _quad_text(v: FuzzyTruth) -> str:
@@ -33,88 +37,44 @@ def _measure_text(v: FuzzyTruth) -> str:
 
 
 # --------------------------------------------------------------------------
-# eval expression parsing: ! / not prefix, & over |, agg loosest
+# eval expressions: ! / not prefix, & over |, agg loosest; the operands are
+# fuzzy values of the program grammar
 # --------------------------------------------------------------------------
 
-_EVAL_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<value>(?:ifn|tfn|trfn)\s*\([^()]*\))|(?P<word>not|agg)"
-    r"|(?P<punct>[!&|()]))"
-)
 
-
-def _eval_tokens(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _EVAL_TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad expression near {text[pos:].strip()[:20]!r}")
-            break
-        out.append(m.group("value") or m.group("word") or m.group("punct"))
-        pos = m.end()
-    out.append("<end>")
-    return out
-
-
-class _EvalParser:
+class _EvalParser(_Parser):
     def __init__(self, text: str, eps: float):
-        self.tokens = _eval_tokens(text)
-        self.pos = 0
+        super().__init__(text)
         self.eps = eps
 
-    @property
-    def cur(self):
-        return self.tokens[self.pos]
-
-    def _take(self):
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def parse(self) -> FuzzyTruth:
-        value = self._agg()
-        if self.cur != "<end>":
-            raise ParseError(f"trailing input at {self.cur!r}")
-        return value
-
-    def _agg(self):
+    def _agg(self) -> FuzzyTruth:
         value = self._or()
-        while self.cur == "agg":
-            self._take()
+        while self._accept("agg"):
             value = kagg(value, self._or(), self.eps)
         return value
 
-    def _or(self):
+    def _or(self) -> FuzzyTruth:
         value = self._and()
-        while self.cur == "|":
-            self._take()
+        while self._accept("|"):
             value = disj(value, self._and())
         return value
 
-    def _and(self):
+    def _and(self) -> FuzzyTruth:
         value = self._unary()
-        while self.cur == "&":
-            self._take()
+        while self._accept("&"):
             value = conj(value, self._unary())
         return value
 
-    def _unary(self):
-        if self.cur == "!":
-            self._take()
+    def _unary(self) -> FuzzyTruth:
+        if self._accept("!"):
             return negate(self._unary())
-        if self.cur == "not":
-            self._take()
+        if self._accept("not"):
             return naf(self._unary())
-        if self.cur == "(":
-            self._take()
+        if self._accept("("):
             value = self._agg()
-            if self._take() != ")":
-                raise ParseError("expected ')'")
+            self._expect(")")
             return value
-        tok = self._take()
-        if tok == "<end>":
-            raise ParseError("unexpected end of expression")
-        return parse_value(tok)
+        return self._fuzzy_value()
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +156,8 @@ def _cmd_parse_only(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    value = _EvalParser(args.expression, args.tol).parse()
+    parser = _EvalParser(args.expression, args.tol)
+    value = parser.parse_all(parser._agg)
     print(f"{value.render()} {_measure_text(value)}")
     return 0
 

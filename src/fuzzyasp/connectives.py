@@ -13,7 +13,7 @@ import logging
 
 from .errors import AggregationTie
 from .measures import uncertainty_degree
-from .truthspace import DEFAULT_EPS, FuzzyTruth, equal, ifn
+from .truthspace import DEFAULT_EPS, FuzzyTruth, equal
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,8 @@ def naf(x: FuzzyTruth) -> FuzzyTruth:
     it carries no uncertainty of its own (k = 0).  Uses the stored b even
     for truncated values.
     """
-    return ifn(1.0 - x.b, 1.0 - x.b)
+    v = 1.0 - x.b
+    return FuzzyTruth(v, v, v, v)
 
 
 def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:

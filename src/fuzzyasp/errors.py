@@ -6,7 +6,7 @@ class FuzzyAspError(Exception):
 
 
 class OrderViolation(FuzzyAspError):
-    """Quadruple parameters are not in non-decreasing order."""
+    """Quadruple parameters are not finite and in non-decreasing order."""
 
 
 class CoreOutOfRange(FuzzyAspError):
@@ -76,6 +76,10 @@ class MonotonicityError(FuzzyAspError):
 
 class QuadratureFailure(FuzzyAspError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+
+class OracleArgumentError(FuzzyAspError, ValueError):
+    """A numeric check cannot run on its arguments (a point value, too few samples, ...)."""
 
 
 class ClosureTooLarge(FuzzyAspError):

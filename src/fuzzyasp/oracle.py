@@ -12,7 +12,7 @@ import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
 from .connectives import conj, disj, kagg, naf, negate
-from .errors import AggregationTie, ClosureTooLarge, QuadratureFailure
+from .errors import AggregationTie, ClosureTooLarge, OracleArgumentError, QuadratureFailure
 from .measures import density, uncertainty_degree
 from .truthspace import FuzzyTruth
 
@@ -27,7 +27,7 @@ def integrate_density_mean(x: FuzzyTruth, tol: float = 1e-8) -> float:
     from scipy.integrate import quad
 
     if uncertainty_degree(x) <= 0.0:
-        raise ValueError("point values have a Dirac density; no quadrature")
+        raise OracleArgumentError("point values have a Dirac density; no quadrature")
     breakpoints = sorted({p for p in x.params if 0.0 < p < 1.0})
     value, errest = quad(
         lambda v: v * density(x, v),
@@ -88,9 +88,11 @@ def prob_leq(
     import numpy as np
 
     if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
+        raise OracleArgumentError("need at least 10^4 samples")
+    if seed < 0:
+        raise OracleArgumentError("the seed must be non-negative")
     if uncertainty_degree(x) <= 0.0 or uncertainty_degree(y) <= 0.0:
-        raise ValueError("both operands need a non-degenerate density")
+        raise OracleArgumentError("both operands need a non-degenerate density")
     rng = np.random.default_rng(seed)
     xs = sample_density(x, samples, rng)
     ys = sample_density(y, samples, rng)
@@ -111,7 +113,7 @@ def closure_enumerate(
     Raises ClosureTooLarge past ``cap`` values.
     """
     if depth > 4:
-        raise ValueError("depth must be at most 4")
+        raise OracleArgumentError("depth must be at most 4")
     values: dict[tuple, FuzzyTruth] = {}
     for w in weights:
         values.setdefault(_key(w), w)

@@ -7,11 +7,15 @@ Concrete grammar (no function symbols, comments start with ``%``)::
     literal := ['-'] ident ['(' term (',' term)* ')']
     term    := Variable | ident | fuzzy
     fuzzy   := ('ifn'|'tfn'|'trfn') '(' number (',' number)* ')'
+    number  := ['-'] decimal ['/' decimal]
+    decimal := digits ['.' [digits]] [exponent] | '.' digits [exponent]
 
 Identifiers start lowercase, variables uppercase.  A missing weight means
 ifn(1,1); an empty body is the fold unit ifn(1,1).  Fuzzy numbers may occur
 as body items (inline evidence) and as inert constants in argument
-positions.
+positions.  The same tokenizer and ``fuzzy`` production read single values
+(:func:`parse_value`) and the CLI's connective expressions, so every text
+input reports errors with a line and column.
 """
 
 from __future__ import annotations
@@ -182,28 +186,7 @@ class GroundProgram:
     @cached_property
     def literals(self) -> tuple:
         """All ground literals occurring anywhere, in first-occurrence order."""
-        return self._occurring(with_naf=True)
-
-    @cached_property
-    def positive_literals(self) -> tuple:
-        """Heads and positive body literals, in first-occurrence order.
-
-        These are the literals of any reduct: freezing naf items turns them
-        into constants.
-        """
-        return self._occurring(with_naf=False) if self.has_naf else self.literals
-
-    def _occurring(self, with_naf: bool) -> tuple:
-        seen: dict[Literal, None] = {}
-        for r in self.rules:
-            seen.setdefault(r.head)
-            for item in r.body:
-                if isinstance(item, Naf):
-                    if with_naf:
-                        seen.setdefault(item.literal)
-                elif isinstance(item, Literal):
-                    seen.setdefault(item)
-        return tuple(seen)
+        return tuple(dict.fromkeys(lit for r in self.rules for lit in _rule_literals(r)))
 
     @cached_property
     def naf_literals(self) -> tuple:
@@ -325,7 +308,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow><-)
   | (?P<ident>[a-z]\w*)
   | (?P<var>[A-Z]\w*)
-  | (?P<punct>[().,\[\]:/-])
+  | (?P<punct>[().,\[\]:/!&|-])
 """,
     re.VERBOSE,
 )
@@ -386,6 +369,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _accept(self, text: str) -> bool:
+        """Consume the current token when its text is ``text``."""
+        if self.cur.text == text:
+            self.pos += 1
+            return True
+        return False
+
     def _expect(self, kind: str) -> _Token:
         if self.cur.kind != kind:
             raise ParseError(
@@ -397,6 +387,12 @@ class _Parser:
 
     def _error(self, message: str):
         raise ParseError(message, self.cur.line, self.cur.column)
+
+    def parse_all(self, read):
+        """``read()`` over the whole input: nothing may follow what it reads."""
+        value = read()
+        self._expect("eof")
+        return value
 
     def parse_program(self) -> Program:
         rules = []
@@ -414,44 +410,35 @@ class _Parser:
             self._advance()
         head = self._literal()
         body: list = []
-        if self.cur.kind == "<-":
-            self._advance()
+        if self._accept("<-"):
             body.append(self._body_item())
-            while self.cur.kind == ",":
-                self._advance()
+            while self._accept(","):
                 body.append(self._body_item())
         self._expect(".")
         weight = TRUE
-        if self.cur.kind == "[":
-            self._advance()
+        if self._accept("["):
             weight = self._fuzzy_value()
             self._expect("]")
         return Rule(head, tuple(body), weight, label)
 
     def _body_item(self):
-        if self.cur.kind == "ident" and self.cur.text == "not":
-            self._advance()
+        if self._accept("not"):
             return Naf(self._literal())
-        if self.cur.kind == "ident" and self.cur.text in _FUZZY_NAMES:
+        if self.cur.text in _FUZZY_NAMES:
             return self._fuzzy_value()
         return self._literal()
 
     def _literal(self) -> Literal:
-        negated = False
-        if self.cur.kind == "-":
-            self._advance()
-            negated = True
+        negated = self._accept("-")
         if self.cur.kind != "ident":
             self._error(f"expected a literal, found {self.cur.text!r}")
         if self.cur.text in _FUZZY_NAMES:
             self._error(f"{self.cur.text!r} is reserved for fuzzy literals")
         name = self._advance().text
         args: list = []
-        if self.cur.kind == "(":
-            self._advance()
+        if self._accept("("):
             args.append(self._term())
-            while self.cur.kind == ",":
-                self._advance()
+            while self._accept(","):
                 args.append(self._term())
             self._expect(")")
         return Literal(Atom(name, tuple(args)), negated)
@@ -471,12 +458,13 @@ class _Parser:
         self._error(f"expected a term, found {self.cur.text!r}")
 
     def _fuzzy_value(self) -> FuzzyTruth:
-        tok = self._expect("ident")
+        if self.cur.text not in _FUZZY_NAMES:
+            self._error(f"expected ifn, tfn or trfn, found {self.cur.text!r}")
+        tok = self._advance()
         ctor, arity = _FUZZY_NAMES[tok.text]
         self._expect("(")
         args = [self._number()]
-        while self.cur.kind == ",":
-            self._advance()
+        while self._accept(","):
             args.append(self._number())
         self._expect(")")
         if len(args) != arity:
@@ -491,20 +479,32 @@ class _Parser:
             raise DomainError(str(exc), tok.line, tok.column) from exc
 
     def _number(self) -> float:
-        sign = 1.0
-        if self.cur.kind == "-":
-            self._advance()
-            sign = -1.0
+        sign = -1.0 if self._accept("-") else 1.0
         value = sign * float(self._expect("number").text)
-        if self.cur.kind == "/":
-            self._advance()
-            value /= float(self._expect("number").text)
+        if self._accept("/"):
+            tok = self._expect("number")
+            divisor = float(tok.text)
+            if divisor == 0.0:
+                raise ParseError("division by zero", tok.line, tok.column)
+            value /= divisor
         return value
 
 
 def parse(source: str) -> Program:
     """Parse program text; raises ParseError/DomainError with location."""
     return _Parser(source).parse_program()
+
+
+def parse_value(text: str) -> FuzzyTruth:
+    """Parse one ``ifn(a,d)`` / ``tfn(a,b,c)`` / ``trfn(a,b,c,d)`` value.
+
+    Parameters are numbers of the program grammar: decimals with optional
+    exponent, a leading ``-`` and ``p/q`` fractions.  Raises ParseError, or
+    DomainError for parameters :func:`~fuzzyasp.truthspace.make` rejects,
+    with the column of the fault.
+    """
+    parser = _Parser(text)
+    return parser.parse_all(parser._fuzzy_value)
 
 
 # --------------------------------------------------------------------------

@@ -234,13 +234,12 @@ def _fixpoint(
     unknown, the least certain value, and has one round), and a component
     whose fixpoint holds a contradictory atom raises Inconsistent.  An
     aggregation tie raises Inconsistent in both modes.
+
+    Every literal of ``gp``, naf-only ones included, starts unknown, so all
+    fixpoints of one program list the same literals.
     """
-    if evolving:
-        values = dict.fromkeys(gp.literals, UNKNOWN)
-        order = gp.components
-    else:
-        values = dict.fromkeys(gp.positive_literals, UNKNOWN)
-        order = gp.frozen_components
+    values = dict.fromkeys(gp.literals, UNKNOWN)
+    order = gp.components if evolving else gp.frozen_components
     for component in order:
         heads = component.heads
         plan = [(h, gp.rules_for(h), gp.rules_for(h.complement())) for h in heads]

@@ -10,10 +10,10 @@ parameters and carries a ``truncated`` flag meaning "interpreted as the
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass
 
-from .errors import AlphaOutOfRange, CoreOutOfRange, OrderViolation, ParseError
+from .errors import AlphaOutOfRange, CoreOutOfRange, OrderViolation
 
 #: default absolute tolerance for parameter comparison
 DEFAULT_EPS = 1e-9
@@ -61,13 +61,14 @@ class FuzzyTruth:
 def make(a: float, b: float, c: float, d: float) -> FuzzyTruth:
     """Build a truth value from a trapezoidal quadruple.
 
-    Raises OrderViolation unless a <= b <= c <= d and CoreOutOfRange unless
-    b, c lie in [0, 1].  The truncated flag is set when the support leaves
-    [0, 1]; the original parameters are preserved either way.
+    Raises OrderViolation unless -inf < a <= b <= c <= d < inf (so a nan
+    parameter fails too) and CoreOutOfRange unless b, c lie in [0, 1].  The
+    truncated flag is set when the support leaves [0, 1]; the original
+    parameters are preserved either way.
     """
     a, b, c, d = float(a), float(b), float(c), float(d)
-    if not (a <= b <= c <= d):
-        raise OrderViolation(f"parameters not ordered: ({a}, {b}, {c}, {d})")
+    if not (-math.inf < a <= b <= c <= d < math.inf):
+        raise OrderViolation(f"parameters not finite and ordered: ({a}, {b}, {c}, {d})")
     if not (0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):
         raise CoreOutOfRange(f"core [{b}, {c}] outside [0, 1]")
     return FuzzyTruth(a, b, c, d, truncated=(a < 0.0 or d > 1.0))
@@ -138,35 +139,3 @@ def equal(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> bool:
     equal.
     """
     return all(abs(p - q) <= eps for p, q in zip(x.params, y.params))
-
-
-_VALUE_RE = re.compile(r"\s*(ifn|tfn|trfn)\s*\(([^()]*)\)\s*$")
-_NUMBER_RE = re.compile(
-    r"\s*(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(?:/\s*(\d+\.?\d*)\s*)?$"
-)
-
-
-def _parse_number(text: str) -> float:
-    m = _NUMBER_RE.match(text)
-    if not m:
-        raise ParseError(f"malformed number {text!r}")
-    value = float(m.group(1))
-    if m.group(2) is not None:
-        value /= float(m.group(2))
-    return value
-
-
-def parse_value(text: str) -> FuzzyTruth:
-    """Parse ``ifn(a,d)`` / ``tfn(a,b,c)`` / ``trfn(a,b,c,d)`` literal text.
-
-    Parameters are decimals, optionally simple fractions like 1/3.
-    """
-    m = _VALUE_RE.match(text)
-    if not m:
-        raise ParseError(f"malformed fuzzy literal {text!r}")
-    name, argtext = m.group(1), m.group(2)
-    args = [_parse_number(p) for p in argtext.split(",")]
-    arity = {"ifn": 2, "tfn": 3, "trfn": 4}[name]
-    if len(args) != arity:
-        raise ParseError(f"{name} takes {arity} parameters, got {len(args)}")
-    return {"ifn": ifn, "tfn": tfn, "trfn": trfn}[name](*args)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from fuzzyasp import DomainError, ParseError, parse, parse_value
 from fuzzyasp.cli import main
 
 
@@ -59,6 +60,18 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert "line" in err
+
+    def test_division_by_zero_exit_two_without_traceback(self, tmp_path):
+        path = tmp_path / "zero.fasp"
+        path.write_text("a. [ifn(0,1/0)]\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzyasp.cli", "solve", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: division by zero (line 1, column 13)\n"
 
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/path.fasp")
@@ -159,6 +172,41 @@ class TestEval:
         assert code == 2
 
 
+class TestOneGrammar:
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("tfn(0,1/3,1)", None),
+            ("ifn(.25,5e-1)", None),
+            ("ifn(0,1/1e1)", None),
+            ("trfn(-2,0.3,0.9,3)", None),
+            ("ifn (0 , 1)", None),
+            ("ifn(0,1/0)", ParseError),
+            ("tfn(0,1,1e400)", DomainError),
+            ("ifn(0.3)", ParseError),
+            ("foo(1,2)", ParseError),
+            ("ifn(0.7,0.3)", DomainError),
+        ],
+    )
+    def test_every_path_reads_a_value_alike(self, capsys, text, error):
+        """parse_value, a rule weight, measure and eval agree on each text."""
+        if error is None:
+            value = parse_value(text)
+            assert parse(f"a. [{text}]").rules[0].weight == value
+            for command in ("measure", "eval"):
+                code, out, _ = run(capsys, command, text)
+                assert code == 0 and out.startswith(f"{value.render()} (t=")
+            return
+        with pytest.raises(error) as direct:
+            parse_value(text)
+        with pytest.raises(error) as weight:
+            parse(f"a. [{text}]")
+        assert type(direct.value) is type(weight.value) is error
+        assert weight.value.column == direct.value.column + len("a. [")
+        for command in ("measure", "eval"):
+            assert run(capsys, command, text) == (2, "", f"error: {direct.value}\n")
+
+
 class TestMeasureAndOrder:
     def test_measure(self, capsys):
         code, out, _ = run(capsys, "measure", "tfn(0,1/3,1)", "ifn(0,1)")
@@ -228,6 +276,20 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "closure", "ifn(1,1)", "--depth", "1")
         assert code == 0
         assert "size: 2" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "ifn(1,1)", "--depth", "5"],
+            ["prob", "ifn(0,1)", "ifn(0,1)", "--samples", "100"],
+            ["prob", "ifn(0,1)", "ifn(0,1)", "--seed", "-1"],
+            ["mean", "ifn(0.5,0.5)"],
+        ],
+    )
+    def test_bad_arguments_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestParserFuzz:

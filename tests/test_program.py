@@ -94,6 +94,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(text)
 
+    def test_division_by_zero_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("a.\nb. [ifn(0,1/0)]")
+        assert type(err.value) is ParseError
+        assert (err.value.line, err.value.column) == (2, 13)
+
+    @pytest.mark.parametrize("text", ["tfn(0,1,1e400)", "ifn(-1e400,1)", "ifn(0,1e400/1e400)"])
+    def test_non_finite_parameters_are_domain_errors(self, text):
+        with pytest.raises(DomainError) as err:
+            parse(f"a. [{text}]")
+        assert (err.value.line, err.value.column) == (1, 5)
+
     def test_negative_parameters_in_fuzzy(self):
         prog = parse("a. [trfn(-2,0.3,0.9,3)]")
         assert prog.rules[0].weight.params == (-2, 0.3, 0.9, 3)

@@ -267,6 +267,14 @@ class TestSolve:
         }
         assert any(c.status is Status.NON_CONVERGENT for c in report.candidates)
 
+    def test_naf_only_literal_in_every_answer_set(self):
+        # both answer sets come from naf guesses, whose frozen fixpoints
+        # list x like the trajectory does
+        report = solve(parse("a <- not b. b <- not a. c <- not x."))
+        assert len(report.answer_sets) == 2
+        for interp in report.answer_sets:
+            assert interp.assignment[lit("x")] == UNKNOWN
+
     def test_odd_loop_none(self):
         report = solve(parse("a <- not a."))
         assert report.answer_sets == []

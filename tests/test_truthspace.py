@@ -38,6 +38,13 @@ class TestMake:
         with pytest.raises(OrderViolation):
             make(0.3, 0.2, 0.5, 0.7)
 
+    @pytest.mark.parametrize(
+        "params", [(0, 1, 1, math.inf), (-math.inf, 0, 1, 1), (0, 0.5, 0.5, math.nan)]
+    )
+    def test_non_finite_parameters(self, params):
+        with pytest.raises(OrderViolation):
+            make(*params)
+
     def test_core_out_of_range(self):
         with pytest.raises(CoreOutOfRange):
             make(0.0, 0.5, 1.2, 1.5)
