@@ -41,11 +41,15 @@ def _measure_text(v: FuzzyTruth) -> str:
 # fuzzy values of the program grammar
 # --------------------------------------------------------------------------
 
+#: parentheses an eval expression may nest; each level takes four stack frames
+MAX_PAREN_DEPTH = 100
+
 
 class _EvalParser(_Parser):
     def __init__(self, text: str, eps: float):
         super().__init__(text)
         self.eps = eps
+        self.depth = 0
 
     def _agg(self) -> FuzzyTruth:
         value = self._or()
@@ -66,15 +70,23 @@ class _EvalParser(_Parser):
         return value
 
     def _unary(self) -> FuzzyTruth:
-        if self._accept("!"):
-            return negate(self._unary())
-        if self._accept("not"):
-            return naf(self._unary())
-        if self._accept("("):
+        # a prefix chain is read in a loop and applied innermost first
+        prefixes = []
+        while self.cur.text in ("!", "not"):
+            prefixes.append(negate if self._advance().text == "!" else naf)
+        if self.cur.text == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                self._error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
+            self._advance()
+            self.depth += 1
             value = self._agg()
             self._expect(")")
-            return value
-        return self._fuzzy_value()
+            self.depth -= 1
+        else:
+            value = self._fuzzy_value()
+        for op in reversed(prefixes):
+            value = op(value)
+        return value
 
 
 # --------------------------------------------------------------------------
@@ -97,18 +109,35 @@ def _cmd_solve(args) -> int:
     else:
         for n, interp in enumerate(report.answer_sets, 1):
             print(f"answer set {n}:")
-            for literal in sorted(interp.assignment, key=lambda l: l.render()):
-                v = interp.value(literal)
-                print(f"  {literal.render()} : {_quad_text(v)} {_measure_text(v)}")
+            for name, v in _sorted_by_name(interp):
+                print(f"  {name} : {_quad_text(v)} {_measure_text(v)}")
         statuses = ", ".join(c.status.value for c in report.candidates) or "none"
         print(f"candidates: {statuses}")
         print(f"iterations: {report.iterations}")
+        if report.guess_depth is not None:
+            print(f"guess depth: {report.guess_depth}")
         if args.trace:
-            for passno, snapshot in enumerate(report.trace, 1):
+            for passno, snapshot in enumerate(_named_trace(report.trace), 1):
                 print(f"pass {passno}:")
-                for literal in sorted(snapshot, key=lambda l: l.render()):
-                    print(f"  {literal.render()} : {_quad_text(snapshot[literal])}")
+                for name, v in sorted(snapshot, key=lambda item: item[0]):
+                    print(f"  {name} : {_quad_text(v)}")
     return 0 if report.answer_sets else 1
+
+
+def _sorted_by_name(interp) -> list:
+    """(rendered literal, value) pairs of an interpretation, sorted by name."""
+    return sorted(zip(interp.table.names, interp.values), key=lambda item: item[0])
+
+
+def _named_trace(trace: list) -> list:
+    """Trace snapshots as (rendered literal, value) lists; each literal is rendered once.
+
+    Every snapshot of one solve holds the same literals in the same order.
+    """
+    if not trace:
+        return []
+    names = [literal.render() for literal in trace[0]]
+    return [list(zip(names, snapshot.values())) for snapshot in trace]
 
 
 def _value_json(v: FuzzyTruth) -> dict:
@@ -122,10 +151,7 @@ def _value_json(v: FuzzyTruth) -> dict:
 def _report_json(report, with_trace: bool) -> dict:
     doc = {
         "answer_sets": [
-            {
-                lit.render(): _value_json(interp.value(lit))
-                for lit in sorted(interp.assignment, key=lambda l: l.render())
-            }
+            {name: _value_json(v) for name, v in _sorted_by_name(interp)}
             for interp in report.answer_sets
         ],
         "candidates": [
@@ -136,14 +162,12 @@ def _report_json(report, with_trace: bool) -> dict:
             for c in report.candidates
         ],
         "iterations": report.iterations,
+        "guess_depth": report.guess_depth,
     }
     if with_trace:
         doc["trace"] = [
-            {
-                lit.render(): [v.a, v.b, v.c, v.d, v.truncated]
-                for lit, v in snapshot.items()
-            }
-            for snapshot in report.trace
+            {name: [v.a, v.b, v.c, v.d, v.truncated] for name, v in snapshot}
+            for snapshot in _named_trace(report.trace)
         ]
     return doc
 

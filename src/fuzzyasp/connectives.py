@@ -35,27 +35,44 @@ def naf(x: FuzzyTruth) -> FuzzyTruth:
     return FuzzyTruth(v, v, v, v)
 
 
-def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
-    """Product t-norm.
+def _product(xa, xb, xc, xd, ya, yb, yc, yd) -> tuple[float, float, float, float]:
+    """Parameters (a, b, c, d) of the product t-norm of two quadruples.
 
     For nonnegative ordered parameters the min/max cross products collapse
     to the componentwise products, so the general form below covers the
-    restricted case too.  The result is flagged truncated exactly when its
-    outer parameters leave [0, 1].
+    restricted case too.
     """
-    outer = (x.a * y.a, x.a * y.d, x.d * y.a, x.d * y.d)
-    core = (x.b * y.b, x.b * y.c, x.c * y.b, x.c * y.c)
+    outer = (xa * ya, xa * yd, xd * ya, xd * yd)
+    core = (xb * yb, xb * yc, xc * yb, xc * yc)
     a, d = min(outer), max(outer)
     b, c = min(core), max(core)
     if not a <= b <= c <= d:  # pragma: no cover - unreachable while cores stay in [0,1]
-        log.warning("conj ordering repair for %s and %s", x, y)
+        log.warning("product ordering repair for %r and %r", (xa, xb, xc, xd), (ya, yb, yc, yd))
         a, b, c, d = sorted((a, b, c, d))
+    return a, b, c, d
+
+
+def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
+    """Product t-norm.
+
+    The result is flagged truncated exactly when its outer parameters leave
+    [0, 1].
+    """
+    a, b, c, d = _product(x.a, x.b, x.c, x.d, y.a, y.b, y.c, y.d)
     return FuzzyTruth(a, b, c, d, truncated=(a < 0.0 or d > 1.0))
 
 
 def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
-    """De Morgan dual of :func:`conj`."""
-    return negate(conj(negate(x), negate(y)))
+    """De Morgan dual of :func:`conj`: ``negate(conj(negate(x), negate(y)))``.
+
+    Computed on the reflected parameters directly, so no intermediate value
+    is built; the result is bit-identical to the composed form.
+    """
+    a, b, c, d = _product(
+        1.0 - x.d, 1.0 - x.c, 1.0 - x.b, 1.0 - x.a,
+        1.0 - y.d, 1.0 - y.c, 1.0 - y.b, 1.0 - y.a,
+    )
+    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a, truncated=(a < 0.0 or d > 1.0))
 
 
 def kagg(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> FuzzyTruth:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -160,60 +160,115 @@ class Program:
         return "\n".join(r.render() for r in self.rules) + ("\n" if self.rules else "")
 
 
+#: kinds of a compiled body item: ``(LIT, id)`` reads literal ``id``,
+#: ``(NAF, id)`` reads ``not`` literal ``id``, ``(VALUE, v)`` is the inline constant v
+LIT, NAF, VALUE = 0, 1, 2
+
+
+class LiteralTable:
+    """Ground literals numbered by their position in ``literals``.
+
+    ``ids`` maps a literal to its number and ``complement[i]`` is the number
+    of literal i's complement, or -1 when the table does not hold it.
+    ``names`` renders each literal once, for output.
+    """
+
+    def __init__(self, literals):
+        self.literals = tuple(literals)
+        self.ids = {literal: i for i, literal in enumerate(self.literals)}
+        self.complement = tuple(self.ids.get(l.complement(), -1) for l in self.literals)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(literal.render() for literal in self.literals)
+
+
 class Component(NamedTuple):
-    """Head literals that depend on one another, in index order."""
+    """Head ids that depend on one another, in head order, with their evaluation plan."""
 
     heads: tuple
     cyclic: bool  # some head depends, directly or not, on a head in here
+    plan: tuple  # per head: (head id, its rules, its complement's rules or ())
 
 
-@dataclass(frozen=True)
 class GroundProgram:
-    """Variable-free program plus an index from head literal to its rules.
+    """Variable-free program compiled to integer literal ids.
 
-    Derived views (the literal list, rules per head, the dependency
-    condensation) are computed on first use and cached: the program is
-    immutable.
+    Every literal occurring in ``rules`` gets an id, its position in
+    ``literals`` (first-occurrence order, head before body); ``table`` holds
+    them with their complement ids.  ``compiled`` has one ``(head id, body,
+    weight)`` per rule in program order, the body a tuple of ``(kind,
+    payload)`` items (:data:`LIT`, :data:`NAF`, :data:`VALUE`);
+    ``rules_of[h]`` lists head h's rules as ``(body, weight)`` pairs in
+    program order, ``heads`` the head ids in first-occurrence order and
+    ``naf_ids`` the ids under ``not`` in first-occurrence order.  The
+    dependency condensations and their evaluation plans are built once, on
+    first use.  The solver evaluates this form over lists of values indexed
+    by id; ``index``, ``rules_for``, ``head_literals`` and ``naf_literals``
+    are Literal-keyed views of it, and literals are rendered only for
+    output, once each, through ``table.names``.  The program is immutable.
     """
 
-    rules: tuple = ()
-    index: dict = field(default_factory=dict, compare=False)
+    def __init__(self, rules=()):
+        self.rules = tuple(rules)
+        ids: dict[Literal, int] = {}
+        compiled = []
+        for rule in self.rules:
+            head = ids.setdefault(rule.head, len(ids))
+            body = []
+            for item in rule.body:
+                if isinstance(item, FuzzyTruth):
+                    body.append((VALUE, item))
+                elif isinstance(item, Naf):
+                    body.append((NAF, ids.setdefault(item.literal, len(ids))))
+                else:
+                    body.append((LIT, ids.setdefault(item, len(ids))))
+            compiled.append((head, tuple(body), rule.weight))
+        self.table = LiteralTable(ids)
+        self.compiled = tuple(compiled)
+        positions: dict[int, list] = {}
+        for pos, (head, _, _) in enumerate(compiled):
+            positions.setdefault(head, []).append(pos)
+        self._positions = positions
+        self.heads = tuple(positions)
+        rules_of = [()] * len(ids)
+        for head, where in positions.items():
+            rules_of[head] = tuple(compiled[pos][1:] for pos in where)
+        self.rules_of = tuple(rules_of)
+        self.naf_ids = tuple(
+            dict.fromkeys(x for _, body, _ in compiled for kind, x in body if kind == NAF)
+        )
+
+    @property
+    def literals(self) -> tuple:
+        """All ground literals occurring anywhere, in id order."""
+        return self.table.literals
+
+    @cached_property
+    def index(self) -> dict:
+        """Head literal -> positions of its rules in ``rules``."""
+        literals = self.table.literals
+        return {literals[h]: tuple(where) for h, where in self._positions.items()}
 
     @property
     def head_literals(self) -> tuple:
-        return tuple(self.index.keys())
+        return tuple(self.index)
 
-    @cached_property
-    def literals(self) -> tuple:
-        """All ground literals occurring anywhere, in first-occurrence order."""
-        return tuple(dict.fromkeys(lit for r in self.rules for lit in _rule_literals(r)))
+    def rules_for(self, literal: Literal) -> tuple:
+        return tuple(self.rules[pos] for pos in self.index.get(literal, ()))
 
     @cached_property
     def naf_literals(self) -> tuple:
         """Literals under naf, in first-occurrence order."""
-        seen: dict[Literal, None] = {}
-        for r in self.rules:
-            for literal in r.naf_body:
-                seen.setdefault(literal)
-        return tuple(seen)
-
-    @cached_property
-    def _rules_by_head(self) -> dict:
-        return {
-            head: tuple(self.rules[i] for i in positions)
-            for head, positions in self.index.items()
-        }
-
-    def rules_for(self, literal: Literal) -> tuple:
-        return self._rules_by_head.get(literal, ())
+        return tuple(self.table.literals[b] for b in self.naf_ids)
 
     @property
     def has_naf(self) -> bool:
-        return bool(self.naf_literals)
+        return bool(self.naf_ids)
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
-        """Strongly connected components of the head literals, dependencies first.
+        """Strongly connected components of the head ids, dependencies first.
 
         A head depends on the literals in its rules' bodies, positive and
         naf, and on its complement when that has rules too (their values
@@ -233,32 +288,42 @@ class GroundProgram:
         return "\n".join(r.render() for r in self.rules) + ("\n" if self.rules else "")
 
     def _condense(self, naf_edges: bool) -> tuple[Component, ...]:
-        heads = self.index
-        deps: dict[Literal, dict] = {}
-        for head in heads:
-            out: dict[Literal, None] = {}
-            for rule in self.rules_for(head):
-                for item in rule.body:
-                    if isinstance(item, Naf):
-                        if naf_edges and item.literal in heads:
-                            out.setdefault(item.literal)
-                    elif isinstance(item, Literal) and item in heads:
-                        out.setdefault(item)
-            comp = head.complement()
-            if comp in heads:
+        complement, rules_of = self.table.complement, self.rules_of
+        is_head = [False] * len(rules_of)
+        for head in self.heads:
+            is_head[head] = True
+        follow = (LIT, NAF) if naf_edges else (LIT,)
+        deps: dict[int, tuple] = {}
+        for head in self.heads:
+            out: dict[int, None] = {}
+            for body, _ in rules_of[head]:
+                for kind, x in body:
+                    if kind in follow and is_head[x]:
+                        out.setdefault(x)
+            comp = complement[head]
+            if comp >= 0 and is_head[comp]:
                 out.setdefault(comp)
-            deps[head] = out
-        return _strongly_connected(deps)
+            deps[head] = tuple(out)
+        return tuple(
+            Component(members, cyclic, tuple(
+                (h, rules_of[h], rules_of[complement[h]] if complement[h] >= 0 else ())
+                for h in members
+            ))
+            for members, cyclic in _strongly_connected(deps)
+        )
 
 
-def _strongly_connected(deps: dict) -> tuple[Component, ...]:
-    """Tarjan's algorithm, iterative; each component comes after those it depends on."""
+def _strongly_connected(deps: dict) -> list[tuple[tuple, bool]]:
+    """Tarjan's algorithm, iterative; each component comes after those it depends on.
+
+    Returns (members in ``deps`` order, cyclic) per component.
+    """
     position = {node: i for i, node in enumerate(deps)}
     order: dict = {}
     low: dict = {}
     stack: list = []
     on_stack: set = set()
-    found: list[Component] = []
+    found: list[tuple[tuple, bool]] = []
     for root in deps:
         if root in order:
             continue
@@ -292,8 +357,8 @@ def _strongly_connected(deps: dict) -> tuple[Component, ...]:
                             break
                     members.sort(key=position.__getitem__)
                     cyclic = len(members) > 1 or node in deps[node]
-                    found.append(Component(tuple(members), cyclic))
-    return tuple(found)
+                    found.append((tuple(members), cyclic))
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -580,8 +645,4 @@ def ground(program: Program) -> GroundProgram:
         for combo in itertools.product(constants, repeat=len(variables)):
             ground_rules.append(_substitute(rule, dict(zip(variables, combo))))
 
-    index: dict[Literal, tuple] = {}
-    for i, rule in enumerate(ground_rules):
-        index.setdefault(rule.head, ())
-        index[rule.head] += (i,)
-    return GroundProgram(tuple(ground_rules), index)
+    return GroundProgram(ground_rules)

@@ -24,34 +24,77 @@ from .errors import (
     NonConvergent,
 )
 from .measures import truth_degree, uncertainty_degree
-from .program import FuzzyTruth, GroundProgram, Literal, Naf, Program, Rule, ground
+from .program import (
+    LIT,
+    NAF,
+    VALUE,
+    FuzzyTruth,
+    GroundProgram,
+    Literal,
+    LiteralTable,
+    Naf,
+    Program,
+    Rule,
+    ground,
+)
 from .truthspace import DEFAULT_EPS, TRUE, UNKNOWN, equal
 
 DEFAULT_MAX_ITER = 10_000
 
 
 class Interpretation:
-    """Finite map from ground literals to truth values; unknown elsewhere."""
+    """Values of ground literals; every other literal is unknown.
+
+    Holds a :class:`~fuzzyasp.program.LiteralTable` and ``values``, a list
+    indexed by its ids.  The solver's interpretations share their ground
+    program's table and are compared and checked id by id;
+    ``Interpretation(mapping)`` numbers the mapping's own literals.
+    ``Literal`` keys come back only through :meth:`value`,
+    :attr:`assignment`, :meth:`items` and the text form.
+    """
+
+    __slots__ = ("table", "values")
 
     def __init__(self, assignment=None):
-        self.assignment = dict(assignment or {})
+        assignment = dict(assignment or {})
+        self.table = LiteralTable(assignment)
+        self.values = list(assignment.values())
+
+    @classmethod
+    def of(cls, table: LiteralTable, values: list) -> Interpretation:
+        """The interpretation giving ``values[i]`` to ``table.literals[i]``."""
+        self = cls.__new__(cls)
+        self.table, self.values = table, values
+        return self
 
     def value(self, literal: Literal) -> FuzzyTruth:
-        return self.assignment.get(literal, UNKNOWN)
+        i = self.table.ids.get(literal)
+        return UNKNOWN if i is None else self.values[i]
+
+    @property
+    def assignment(self) -> dict:
+        """A new dict from each literal of the table to its value."""
+        return dict(zip(self.table.literals, self.values))
 
     def items(self):
         return self.assignment.items()
 
-    def __repr__(self):  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{l}: {v}" for l, v in self.assignment.items())
+    def __repr__(self):
+        inner = ", ".join(f"{n}: {v}" for n, v in zip(self.table.names, self.values))
         return "{" + inner + "}"
 
 
 def interpretations_equal(
     x: Interpretation, y: Interpretation, eps: float = DEFAULT_EPS
 ) -> bool:
-    """Per-literal equality within ``eps`` over the union of assigned literals."""
-    literals = set(x.assignment) | set(y.assignment)
+    """Per-literal equality within ``eps`` over the union of assigned literals.
+
+    Literals are compared in id order, ``x``'s table before ``y``'s.
+    """
+    if x.table is y.table:
+        return all(equal(p, q, eps) for p, q in zip(x.values, y.values))
+    literals = dict.fromkeys(x.table.literals)
+    literals.update(dict.fromkeys(y.table.literals))
     return all(equal(x.value(l), y.value(l), eps) for l in literals)
 
 
@@ -60,25 +103,25 @@ def is_inconsistent(i: Interpretation, eps: float = DEFAULT_EPS):
 
     Returns the offending atom, or None.
     """
-    return _contradiction(i.assignment, i.assignment, eps)
+    return _contradiction(i.table, i.values, range(len(i.values)), eps)
 
 
-def _contradiction(values: dict, literals, eps: float):
-    """:func:`is_inconsistent` over the atoms of ``literals`` only."""
+def _contradiction(table: LiteralTable, values: list, ids, eps: float):
+    """:func:`is_inconsistent` over the atoms of the literals ``ids`` only."""
+    complement = table.complement
     seen = set()
-    for literal in literals:
-        atom = literal.atom
-        comp = literal.complement()
-        if atom in seen or comp not in values:
+    for i in ids:
+        c = complement[i]
+        if c < 0 or c in seen:
             continue
-        seen.add(atom)
-        vp, vn = values[literal], values[comp]
-        if literal.negated:
+        seen.add(i)
+        vp, vn = values[i], values[c]
+        if table.literals[i].negated:
             vp, vn = vn, vp
         if abs(uncertainty_degree(vp) - uncertainty_degree(vn)) <= eps and (
             abs(truth_degree(vp) - (1.0 - truth_degree(vn))) > eps
         ):
-            return atom
+            return table.literals[i].atom
     return None
 
 
@@ -89,32 +132,38 @@ def eval_body(i: Interpretation, rule: Rule) -> FuzzyTruth:
     through, naf literals contribute naf(I(b)).  Order matters: conjunction
     with truncated operands is not associative.
     """
-    return _body(i.assignment, rule, None)
-
-
-def _body(values: dict, rule: Rule, naf_values: dict | None) -> FuzzyTruth:
-    """:func:`eval_body` on a plain assignment; ``naf_values`` overrides naf items."""
     acc = None
     for item in rule.body:
         if isinstance(item, FuzzyTruth):
             v = item
         elif isinstance(item, Naf):
-            if naf_values is None:
-                v = naf(values.get(item.literal, UNKNOWN))
-            else:
-                v = naf_values[item.literal]
+            v = naf(i.value(item.literal))
         else:
-            v = values.get(item, UNKNOWN)
+            v = i.value(item)
         acc = v if acc is None else conj(acc, v)
-    if acc is None:
-        acc = TRUE
-    return conj(acc, rule.weight)
+    return conj(TRUE if acc is None else acc, rule.weight)
+
+
+def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: list | None) -> FuzzyTruth:
+    """:func:`eval_body` of a compiled body; ``naf_values`` overrides its naf items."""
+    acc = None
+    for kind, x in body:
+        if kind == LIT:
+            v = values[x]
+        elif kind == NAF:
+            v = naf(values[x]) if naf_values is None else naf_values[x]
+        else:
+            v = x
+        acc = v if acc is None else conj(acc, v)
+    return conj(TRUE if acc is None else acc, weight)
 
 
 def satisfies(i: Interpretation, rule: Rule, eps: float = DEFAULT_EPS) -> bool:
     """Head equals the body value or strictly exceeds it in either order."""
-    head = i.value(rule.head)
-    body = eval_body(i, rule)
+    return _satisfied(i.value(rule.head), eval_body(i, rule), eps)
+
+
+def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
     if equal(head, body, eps):
         return True
     if uncertainty_degree(head) < uncertainty_degree(body) - eps:
@@ -122,17 +171,17 @@ def satisfies(i: Interpretation, rule: Rule, eps: float = DEFAULT_EPS) -> bool:
     return truth_degree(head) > truth_degree(body) + eps
 
 
-def _contribution(values: dict, rules: tuple, naf_values) -> FuzzyTruth:
+def _contribution(values: list, rules: tuple, naf_values) -> FuzzyTruth:
     """Disjunction fold (program order) of the body values of one head's rules."""
     acc = None
-    for rule in rules:
-        v = _body(values, rule, naf_values)
+    for body, weight in rules:
+        v = _body(values, body, weight, naf_values)
         acc = v if acc is None else disj(acc, v)
     return acc
 
 
-def _target(values: dict, own: tuple, against: tuple, naf_values, eps: float) -> FuzzyTruth:
-    """The supported value for a head literal with rules ``own``.
+def _target(values: list, own: tuple, against: tuple, naf_values, eps: float) -> FuzzyTruth:
+    """The supported value for a head literal with compiled rules ``own``.
 
     The complement's combined evidence (its rules, ``against``) is
     aggregated in only when the complement has rules of its own;
@@ -171,16 +220,29 @@ def is_supported(
     combination of several rules, condition 3 the aggregation against a
     complement that also has rules.
     """
-    for literal in gp.head_literals:
-        own = gp.rules_for(literal)
-        against = gp.rules_for(literal.complement())
+    return _unsupported(gp, _values_on(gp, i), eps)
+
+
+def _values_on(gp: GroundProgram, i: Interpretation) -> list:
+    """``i``'s values indexed by ``gp``'s literal ids."""
+    if i.table is gp.table:
+        return i.values
+    return [i.value(literal) for literal in gp.literals]
+
+
+def _unsupported(gp: GroundProgram, values: list, eps: float) -> Violation | None:
+    complement, rules_of = gp.table.complement, gp.rules_of
+    for head in gp.heads:
+        own = rules_of[head]
+        against = rules_of[complement[head]] if complement[head] >= 0 else ()
         condition = 3 if against else (1 if len(own) == 1 else 2)
+        literal = gp.literals[head]
         try:
-            expected = _target(i.assignment, own, against, None, eps)
+            expected = _target(values, own, against, None, eps)
         except AggregationTie:
             return Violation(literal, 3)
-        if not equal(i.value(literal), expected, eps):
-            return Violation(literal, condition, expected, i.value(literal))
+        if not equal(values[head], expected, eps):
+            return Violation(literal, condition, expected, values[head])
     return None
 
 
@@ -202,7 +264,7 @@ def reduct(gp: GroundProgram, i: Interpretation) -> GroundProgram:
         )
         for r in gp.rules
     )
-    return GroundProgram(rules, gp.index)
+    return GroundProgram(rules)
 
 
 def _fixpoint(
@@ -210,7 +272,7 @@ def _fixpoint(
     eps: float,
     max_iter: int,
     *,
-    naf_values: dict | None = None,
+    naf_values: list | None = None,
     evolving: bool = False,
     trace: list | None = None,
     report: SolveReport | None = None,
@@ -223,48 +285,48 @@ def _fixpoint(
     its own heads until they are stable within ``eps``, for at most
     ``max_iter`` rounds (NonConvergent past that).  Every evaluation of a
     component is one round: it counts in ``report.iterations`` and appends
-    one snapshot of the whole interpretation to ``trace``.
+    one snapshot of the whole interpretation, as a dict, to ``trace``.
 
     With ``evolving`` each naf item reads the current interpretation, as in
     the operator trajectory of a program with naf; a cyclic component that
     revisits an earlier state is non-convergent.  Otherwise naf items take
-    their value from ``naf_values`` (``gp.frozen_components`` order, in
-    which naf is no dependency), no round of a cyclic component may raise a
-    head's uncertainty (MonotonicityError; an acyclic one starts from
-    unknown, the least certain value, and has one round), and a component
-    whose fixpoint holds a contradictory atom raises Inconsistent.  An
-    aggregation tie raises Inconsistent in both modes.
+    their value from the override list ``naf_values`` (indexed by literal
+    id; ``gp.frozen_components`` order, in which naf is no dependency), no
+    round of a cyclic component may raise a head's uncertainty
+    (MonotonicityError; an acyclic one starts from unknown, the least
+    certain value, and has one round), and a component whose fixpoint holds
+    a contradictory atom raises Inconsistent.  An aggregation tie raises
+    Inconsistent in both modes.
 
     Every literal of ``gp``, naf-only ones included, starts unknown, so all
     fixpoints of one program list the same literals.
     """
-    values = dict.fromkeys(gp.literals, UNKNOWN)
-    order = gp.components if evolving else gp.frozen_components
-    for component in order:
-        heads = component.heads
-        plan = [(h, gp.rules_for(h), gp.rules_for(h.complement())) for h in heads]
+    literals = gp.literals
+    values = [UNKNOWN] * len(literals)
+    for heads, cyclic, plan in gp.components if evolving else gp.frozen_components:
         # states of a cyclic trajectory so far; every head starts unknown
-        seen = {UNKNOWN.params * len(heads)} if evolving and component.cyclic else None
-        for rounds in range(1, (max_iter if component.cyclic else 1) + 1):
+        seen = {UNKNOWN.params * len(heads)} if evolving and cyclic else None
+        for rounds in range(1, (max_iter if cyclic else 1) + 1):
             new = []
             for head, own, against in plan:
                 try:
                     new.append(_target(values, own, against, naf_values, eps))
                 except AggregationTie as exc:
-                    raise Inconsistent(head.atom) from exc
-            previous = [values[h] for h in heads]
-            values.update(zip(heads, new))
+                    raise Inconsistent(literals[head].atom) from exc
+            previous = [values[h] for h in heads] if cyclic else None
+            for head, value in zip(heads, new):
+                values[head] = value
             if report is not None:
                 report.iterations += 1
             if trace is not None:
-                trace.append(dict(values))
-            if not component.cyclic:
+                trace.append(dict(zip(literals, values)))
+            if not cyclic:
                 break  # its first round started from unknown: nothing to compare
             if not evolving:
                 for head, old, value in zip(heads, previous, new):
                     if uncertainty_degree(value) > uncertainty_degree(old) + eps:
                         raise MonotonicityError(
-                            f"uncertainty increased at {head}: {old} -> {value}"
+                            f"uncertainty increased at {literals[head]}: {old} -> {value}"
                         )
             if all(equal(old, value, eps) for old, value in zip(previous, new)):
                 break
@@ -276,10 +338,10 @@ def _fixpoint(
         else:
             raise NonConvergent(max_iter)
         if not evolving:
-            atom = _contradiction(values, heads, eps)
+            atom = _contradiction(gp.table, values, heads, eps)
             if atom is not None:
                 raise Inconsistent(atom)
-    return Interpretation(values)
+    return Interpretation.of(gp.table, values)
 
 
 def kmin_supported_model(
@@ -288,7 +350,7 @@ def kmin_supported_model(
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
     trace: list | None = None,
-    naf_values: dict | None = None,
+    naf_values: list | None = None,
 ) -> Interpretation:
     """Fixpoint of the supported-value operator on a positive program.
 
@@ -298,14 +360,23 @@ def kmin_supported_model(
     and Inconsistent when the fixpoint assigns contradictory equally-certain
     complements or an aggregation ties.
 
-    ``naf_values`` maps every naf literal b of ``gp`` to the value its
-    ``not b`` items take; ``gp`` is then evaluated as the positive program
-    with those items frozen, without building it.  Without it ``gp`` must
-    be positive.
+    ``naf_values`` is an override list indexed by literal id (``gp.literals``
+    order): every naf literal b of ``gp`` is given the value its ``not b``
+    items take, and entries at other ids are not read.  ``gp`` is then
+    evaluated as the positive program with those items frozen, without
+    building it.  Without it ``gp`` must be positive.
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
     return _fixpoint(gp, eps, max_iter, naf_values=naf_values, trace=trace)
+
+
+def _override(gp: GroundProgram, frozen) -> list:
+    """The override list giving ``gp``'s naf ids the values ``frozen``, in order."""
+    override = [None] * len(gp.literals)
+    for b, value in zip(gp.naf_ids, frozen):
+        override[b] = value
+    return override
 
 
 class Status(enum.Enum):
@@ -355,13 +426,14 @@ def verify_answer_set(
     atom = is_inconsistent(i, eps)
     if atom is not None:
         return CandidateResult(i, Status.INCONSISTENT, atom)
-    for rule in gp.rules:
-        if not satisfies(i, rule, eps):
-            return CandidateResult(i, Status.NOT_MODEL, rule)
-    violation = is_supported(i, gp, eps)
+    values = _values_on(gp, i)
+    for pos, (head, body, weight) in enumerate(gp.compiled):
+        if not _satisfied(values[head], _body(values, body, weight, None), eps):
+            return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
+    violation = _unsupported(gp, values, eps)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
-    frozen = {b: naf(i.value(b)) for b in gp.naf_literals}
+    frozen = _override(gp, [naf(values[b]) for b in gp.naf_ids])
     try:
         fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=frozen)
     except Inconsistent as exc:
@@ -383,9 +455,15 @@ def _has_naf_cycle(gp: GroundProgram) -> bool:
     :attr:`GroundProgram.components` (complement-coupled heads count as
     mutually dependent there).
     """
-    where = {h: n for n, component in enumerate(gp.components) for h in component.heads}
+    where = [-1] * len(gp.literals)
+    for n, component in enumerate(gp.components):
+        for head in component.heads:
+            where[head] = n
     return any(
-        where.get(b) == where[rule.head] for rule in gp.rules for b in rule.naf_body
+        where[b] == where[head]
+        for head, body, _ in gp.compiled
+        for kind, b in body
+        if kind == NAF
     )
 
 
@@ -400,11 +478,11 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
     from .oracle import closure_enumerate
 
     seeds = {TRUE, UNKNOWN}
-    for rule in gp.rules:
-        seeds.add(rule.weight)
-        for item in rule.body:
-            if isinstance(item, FuzzyTruth):
-                seeds.add(item)
+    for _, body, weight in gp.compiled:
+        seeds.add(weight)
+        for kind, x in body:
+            if kind == VALUE:
+                seeds.add(x)
     while True:
         if depth >= 1:
             try:
@@ -486,18 +564,18 @@ def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max
     fixpoint of the program frozen at those values, so enumerating the
     (deduplicated) naf images of the closure finds all of them.
     """
-    naf_literals = gp.naf_literals
+    naf_ids = gp.naf_ids
     domain, report.guess_depth = _naf_guess_domain(
-        gp, guess_depth, len(naf_literals), max_guesses
+        gp, guess_depth, len(naf_ids), max_guesses
     )
-    guesses = len(domain) ** len(naf_literals)
+    guesses = len(domain) ** len(naf_ids)
     if guesses > max_guesses:
         raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
-    for combo in itertools.product(domain, repeat=len(naf_literals)):
-        guess = dict(zip(naf_literals, combo))
+    for combo in itertools.product(domain, repeat=len(naf_ids)):
+        guess = _override(gp, combo)
         try:
             fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
         except (Inconsistent, NonConvergent):
             continue
-        if all(equal(naf(fix.value(b)), guess[b], eps) for b in naf_literals):
+        if all(equal(naf(fix.values[b]), v, eps) for b, v in zip(naf_ids, combo)):
             add_candidate(fix)

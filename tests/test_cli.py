@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from fuzzyasp import DomainError, ParseError, parse, parse_value
-from fuzzyasp.cli import main
+from fuzzyasp.cli import MAX_PAREN_DEPTH, main
 
 
 def run(capsys, *argv):
@@ -104,6 +104,54 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: 1048576 naf guesses exceed max_guesses=100000")
 
+    def test_guess_depth_reported_for_even_loop(self, capsys, tmp_path):
+        path = tmp_path / "choice.fasp"
+        path.write_text("a <- not b.\nb <- not a.\n")
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["guess_depth"] == 3
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert "guess depth: 3\n" in out
+
+    def test_guess_depth_absent_without_guessing(self, capsys, tumor_file):
+        code, out, _ = run(capsys, "solve", tumor_file, "--json")
+        assert json.loads(out)["guess_depth"] is None
+        code, out, _ = run(capsys, "solve", tumor_file)
+        assert "guess depth" not in out
+
+    def test_json_output_independent_of_hash_seed(self, tmp_path):
+        # literal ids, not set or hash order, decide every iteration order
+        root = pathlib.Path(__file__).resolve().parent.parent
+        nodes = [f"v{i}" for i in range(6)]
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4)]
+        closure = tmp_path / "closure.fasp"
+        closure.write_text(
+            "".join(f"node({v}).\n" for v in nodes)
+            + "".join(f"edge({nodes[x]},{nodes[y]}).\n" for x, y in edges)
+            + "blocked(v0,v3).\n"
+            "path(X,Y) <- edge(X,Y).\n"
+            "path(X,Y) <- edge(X,Z), path(Z,Y). [ifn(0.9,1)]\n"
+            "reach(X,Y) <- path(X,Y), not blocked(X,Y). [ifn(0.8,1)]\n"
+        )
+        paths = [*sorted((root / "programs").glob("*.fasp")), closure]
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys\n"
+                 "from fuzzyasp.cli import main\n"
+                 "for path in sys.argv[1:]:\n"
+                 "    main(['solve', path, '--json'])\n",
+                 *map(str, paths)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count('"answer_sets"') == len(paths)
+
     def test_solving_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         # the naf-cycle program needs the guess domain from the operator
         # closure, which lives next to the quadrature and Monte Carlo checks
@@ -170,6 +218,26 @@ class TestEval:
     def test_malformed_expression(self, capsys):
         code, _, err = run(capsys, "eval", "ifn(0.5,1) &")
         assert code == 2
+
+    def test_long_prefix_chain(self, capsys):
+        code, out, _ = run(capsys, "eval", "!" * 3000 + "ifn(0,1)")
+        assert code == 0 and out.startswith("ifn(0.0,1.0)")
+        code, out, _ = run(capsys, "eval", "!" * 3001 + "ifn(0.25,1)")
+        assert code == 0 and out.startswith("ifn(0.0,0.75)")
+        code, out, _ = run(capsys, "eval", "not ! " * 1500 + "ifn(0.2,1)")
+        assert code == 0 and out.startswith("ifn(1.0,1.0)")
+
+    def test_deep_parentheses_exit_two_with_column(self, capsys):
+        text = "(" * 1000 + "ifn(0,1)" + ")" * 1000
+        code, out, err = run(capsys, "eval", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: parentheses nested deeper than {MAX_PAREN_DEPTH} "
+            f"(line 1, column {MAX_PAREN_DEPTH + 1})\n"
+        )
+        depth = MAX_PAREN_DEPTH
+        code, out, _ = run(capsys, "eval", "(" * depth + "ifn(0,1)" + ")" * depth)
+        assert code == 0 and out.startswith("ifn(0.0,1.0)")
 
 
 class TestOneGrammar:

@@ -15,6 +15,7 @@ from fuzzyasp import (
     parse,
     tfn,
 )
+from fuzzyasp.program import LIT, NAF, VALUE
 
 
 def lit(name, *args, negated=False):
@@ -178,3 +179,78 @@ class TestGround:
         assert len(gp.rules) == 2
         grounded = [r for r in gp.rules if r.head.atom.predicate == "any"]
         assert grounded[0].head.atom.args[0] == ifn(0.5, 0.5)
+
+
+class TestCompiledForm:
+    SOURCE = (
+        "q(a). q(b). -p(b).\n"
+        "p(X) <- q(X), not r(X), ifn(0.5,1).\n"
+        "r(Y) <- q(Y), not p(Y). [tfn(0.2,0.5,0.9)]\n"
+        "-r(a) <- q(a). [ifn(0.2,0.4)]\n"
+        "s <- not r(b), not -p(b), not p(a).\n"
+        "p(a) <- s.\n"
+    )
+
+    @pytest.fixture
+    def gp(self):
+        return ground(parse(self.SOURCE))
+
+    def test_literal_ids_follow_first_occurrence(self, gp):
+        order = {}
+        for rule in gp.rules:
+            order.setdefault(rule.head)
+            for item in rule.body:
+                if isinstance(item, Naf):
+                    order.setdefault(item.literal)
+                elif not isinstance(item, FuzzyTruth):
+                    order.setdefault(item)
+        assert gp.literals == tuple(order)
+        assert all(gp.table.ids[l] == i for i, l in enumerate(gp.literals))
+
+    def test_complement_ids_are_symmetric(self, gp):
+        complement = gp.table.complement
+        assert len(complement) == len(gp.literals)
+        paired = 0
+        for i, literal in enumerate(gp.literals):
+            c = complement[i]
+            if c < 0:
+                assert literal.complement() not in gp.table.ids
+                continue
+            paired += 1
+            assert complement[c] == i
+            assert gp.literals[c] == literal.complement()
+        assert paired == 4  # p(b) and r(a) with their complements
+
+    def test_compiled_rules_match_a_scan_in_program_order(self, gp):
+        def decompile(body):
+            out = []
+            for kind, x in body:
+                if kind == LIT:
+                    out.append(gp.literals[x])
+                elif kind == NAF:
+                    out.append(Naf(gp.literals[x]))
+                else:
+                    assert kind == VALUE
+                    out.append(x)
+            return tuple(out)
+
+        assert set(gp.heads) == {gp.table.ids[r.head] for r in gp.rules}
+        for h, literal in enumerate(gp.literals):
+            scan = [(r.body, r.weight) for r in gp.rules if r.head == literal]
+            compiled = [(decompile(body), weight) for body, weight in gp.rules_of[h]]
+            assert compiled == scan
+            assert gp.rules_for(literal) == tuple(r for r in gp.rules if r.head == literal)
+        assert [gp.literals[h] for h, _, _ in gp.compiled] == [r.head for r in gp.rules]
+
+    def test_naf_ids_follow_first_occurrence(self, gp):
+        scan = dict.fromkeys(b for rule in gp.rules for b in rule.naf_body)
+        assert [gp.literals[b] for b in gp.naf_ids] == list(scan)
+        assert gp.naf_literals == tuple(scan)
+        assert len(gp.naf_ids) == 5
+
+    def test_components_cover_each_head_once(self, gp):
+        for order in (gp.components, gp.frozen_components):
+            heads = [h for component in order for h in component.heads]
+            assert sorted(heads) == sorted(gp.heads)
+            for component in order:
+                assert [step[0] for step in component.plan] == list(component.heads)

@@ -330,6 +330,22 @@ class TestSolve:
                 fix = kmin_supported_model(reduct(gp, model))
                 assert interpretations_equal(fix, model, 1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a cyclic component stops once a round moves no value by more "
+        "than eps, here at p2 = ifn(0,2.3e-9) on its way to ifn(0,0), and the "
+        "model check with the same eps then rejects the rule",
+    )
+    def test_geometric_convergence_to_zero_is_an_answer_set(self):
+        report = solve(parse(
+            "p2 <- p2, not p0. [ifn(0.25,0.75)]\n"
+            "p2 <- not p0, p2. [ifn(0.25,0.75)]\n"
+            "p0. [ifn(0.5,1)]\n"
+        ))
+        assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+        (model,) = report.answer_sets
+        assert equal(model.value(lit("p2")), FALSE, 1e-8)
+
     def test_trace_collection(self, tumor_source):
         report = solve(parse(tumor_source), collect_trace=True)
         assert report.trace
