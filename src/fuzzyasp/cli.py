@@ -21,7 +21,7 @@ from . import oracle as oracle_mod
 from .errors import FuzzyAspError, ParseError
 from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
-from .program import _Parser, ground, parse, parse_value
+from .program import Program, _Parser, ground, parse, parse_value
 from .solver import solve
 from .table import lattice_table
 from .truthspace import DEFAULT_EPS, FuzzyTruth
@@ -117,9 +117,9 @@ def _cmd_solve(args) -> int:
         if report.guess_depth is not None:
             print(f"guess depth: {report.guess_depth}")
         if args.trace:
-            for passno, snapshot in enumerate(_named_trace(report.trace), 1):
+            for passno, snapshot in enumerate(report.trace, 1):
                 print(f"pass {passno}:")
-                for name, v in sorted(snapshot, key=lambda item: item[0]):
+                for name, v in _sorted_by_name(snapshot):
                     print(f"  {name} : {_quad_text(v)}")
     return 0 if report.answer_sets else 1
 
@@ -127,17 +127,6 @@ def _cmd_solve(args) -> int:
 def _sorted_by_name(interp) -> list:
     """(rendered literal, value) pairs of an interpretation, sorted by name."""
     return sorted(zip(interp.table.names, interp.values), key=lambda item: item[0])
-
-
-def _named_trace(trace: list) -> list:
-    """Trace snapshots as (rendered literal, value) lists; each literal is rendered once.
-
-    Every snapshot of one solve holds the same literals in the same order.
-    """
-    if not trace:
-        return []
-    names = [literal.render() for literal in trace[0]]
-    return [list(zip(names, snapshot.values())) for snapshot in trace]
 
 
 def _value_json(v: FuzzyTruth) -> dict:
@@ -166,8 +155,11 @@ def _report_json(report, with_trace: bool) -> dict:
     }
     if with_trace:
         doc["trace"] = [
-            {name: [v.a, v.b, v.c, v.d, v.truncated] for name, v in snapshot}
-            for snapshot in _named_trace(report.trace)
+            {
+                name: [v.a, v.b, v.c, v.d, v.truncated]
+                for name, v in zip(snapshot.table.names, snapshot.values)
+            }
+            for snapshot in report.trace
         ]
     return doc
 
@@ -175,7 +167,7 @@ def _report_json(report, with_trace: bool) -> dict:
 def _cmd_parse_only(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         source = fh.read()
-    print(ground(parse(source)).render(), end="")
+    print(Program(ground(parse(source)).rules).render(), end="")
     return 0
 
 

@@ -46,7 +46,9 @@ def _product(xa, xb, xc, xd, ya, yb, yc, yd) -> tuple[float, float, float, float
     core = (xb * yb, xb * yc, xc * yb, xc * yc)
     a, d = min(outer), max(outer)
     b, c = min(core), max(core)
-    if not a <= b <= c <= d:  # pragma: no cover - unreachable while cores stay in [0,1]
+    # Reached only with non-finite parameters: a positive cycle through a
+    # truncated weight can drive the outer ones to inf, and inf * 0 is nan.
+    if not a <= b <= c <= d:
         log.warning("product ordering repair for %r and %r", (xa, xb, xc, xd), (ya, yb, yc, yd))
         a, b, c, d = sorted((a, b, c, d))
     return a, b, c, d

@@ -1,9 +1,12 @@
 """Independent numeric checks: quadrature, Monte Carlo, operator closure.
 
-This module is the correctness yardstick for the closed-form measures and
-the solver's brute-force tests; nothing here sits on a production hot path.
-numpy and scipy are imported inside the numeric checks only, so the solver's
-use of :func:`closure_enumerate` (and importing the CLI) does not load them.
+The quadrature and Monte Carlo checks are the correctness yardstick for the
+closed-form measures and the solver's brute-force tests.  :func:`closure_enumerate`
+is also on the solve path: the solver draws its naf guess domain from it on
+every program with a cycle through naf, where it can be the largest single
+cost.  numpy and scipy are imported inside the numeric checks only, so the
+solver's use of :func:`closure_enumerate` (and importing the CLI) does not
+load them.
 """
 
 from __future__ import annotations

@@ -54,10 +54,6 @@ class Atom:
     predicate: str
     args: tuple = ()
 
-    @property
-    def is_ground(self) -> bool:
-        return not any(isinstance(t, Var) for t in self.args)
-
     def render(self) -> str:
         if not self.args:
             return self.predicate
@@ -72,10 +68,6 @@ class Atom:
 class Literal:
     atom: Atom
     negated: bool = False
-
-    @property
-    def is_ground(self) -> bool:
-        return self.atom.is_ground
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.negated)
@@ -123,17 +115,6 @@ class Rule:
     @property
     def naf_body(self) -> tuple:
         return tuple(x.literal for x in self.body if isinstance(x, Naf))
-
-    @property
-    def is_fact(self) -> bool:
-        return all(isinstance(x, FuzzyTruth) for x in self.body)
-
-    @property
-    def is_ground(self) -> bool:
-        return self.head.is_ground and all(
-            isinstance(x, FuzzyTruth) or x.is_ground
-            for x in (i.literal if isinstance(i, Naf) else i for i in self.body)
-        )
 
     def render(self) -> str:
         parts = []
@@ -203,10 +184,11 @@ class GroundProgram:
     program order, ``heads`` the head ids in first-occurrence order and
     ``naf_ids`` the ids under ``not`` in first-occurrence order.  The
     dependency condensations and their evaluation plans are built once, on
-    first use.  The solver evaluates this form over lists of values indexed
-    by id; ``index``, ``rules_for``, ``head_literals`` and ``naf_literals``
-    are Literal-keyed views of it, and literals are rendered only for
-    output, once each, through ``table.names``.  The program is immutable.
+    first use.  This form is the program's only interface: the solver
+    evaluates it over lists of values indexed by id, ``rules`` keeps the
+    source rules for the definitional checks and for error details, and
+    literals are rendered only for output, once each, through
+    ``table.names``.  The program is immutable.
     """
 
     def __init__(self, rules=()):
@@ -226,15 +208,11 @@ class GroundProgram:
             compiled.append((head, tuple(body), rule.weight))
         self.table = LiteralTable(ids)
         self.compiled = tuple(compiled)
-        positions: dict[int, list] = {}
-        for pos, (head, _, _) in enumerate(compiled):
-            positions.setdefault(head, []).append(pos)
-        self._positions = positions
-        self.heads = tuple(positions)
-        rules_of = [()] * len(ids)
-        for head, where in positions.items():
-            rules_of[head] = tuple(compiled[pos][1:] for pos in where)
-        self.rules_of = tuple(rules_of)
+        rules_of: dict[int, list] = {}
+        for head, body, weight in compiled:
+            rules_of.setdefault(head, []).append((body, weight))
+        self.heads = tuple(rules_of)
+        self.rules_of = tuple(tuple(rules_of.get(i, ())) for i in range(len(ids)))
         self.naf_ids = tuple(
             dict.fromkeys(x for _, body, _ in compiled for kind, x in body if kind == NAF)
         )
@@ -243,24 +221,6 @@ class GroundProgram:
     def literals(self) -> tuple:
         """All ground literals occurring anywhere, in id order."""
         return self.table.literals
-
-    @cached_property
-    def index(self) -> dict:
-        """Head literal -> positions of its rules in ``rules``."""
-        literals = self.table.literals
-        return {literals[h]: tuple(where) for h, where in self._positions.items()}
-
-    @property
-    def head_literals(self) -> tuple:
-        return tuple(self.index)
-
-    def rules_for(self, literal: Literal) -> tuple:
-        return tuple(self.rules[pos] for pos in self.index.get(literal, ()))
-
-    @cached_property
-    def naf_literals(self) -> tuple:
-        """Literals under naf, in first-occurrence order."""
-        return tuple(self.table.literals[b] for b in self.naf_ids)
 
     @property
     def has_naf(self) -> bool:
@@ -283,9 +243,6 @@ class GroundProgram:
         if not self.has_naf:
             return self.components
         return self._condense(naf_edges=False)
-
-    def render(self) -> str:
-        return "\n".join(r.render() for r in self.rules) + ("\n" if self.rules else "")
 
     def _condense(self, naf_edges: bool) -> tuple[Component, ...]:
         complement, rules_of = self.table.complement, self.rules_of

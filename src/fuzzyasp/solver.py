@@ -285,7 +285,8 @@ def _fixpoint(
     its own heads until they are stable within ``eps``, for at most
     ``max_iter`` rounds (NonConvergent past that).  Every evaluation of a
     component is one round: it counts in ``report.iterations`` and appends
-    one snapshot of the whole interpretation, as a dict, to ``trace``.
+    a copy of the whole interpretation, on ``gp``'s literal table, to
+    ``trace``.
 
     With ``evolving`` each naf item reads the current interpretation, as in
     the operator trajectory of a program with naf; a cyclic component that
@@ -319,7 +320,7 @@ def _fixpoint(
             if report is not None:
                 report.iterations += 1
             if trace is not None:
-                trace.append(dict(zip(literals, values)))
+                trace.append(Interpretation.of(gp.table, list(values)))
             if not cyclic:
                 break  # its first round started from unknown: nothing to compare
             if not evolving:
@@ -401,7 +402,8 @@ class SolveReport:
 
     ``iterations`` counts the component evaluation rounds of the main
     fixpoint (the operator trajectory when the program has naf), summed
-    over components; ``trace`` holds one interpretation snapshot per round.
+    over components; ``trace`` holds one :class:`Interpretation` per round,
+    each on the ground program's literal table.
     """
 
     answer_sets: list = field(default_factory=list)
@@ -562,7 +564,9 @@ def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max
 
     Every answer set whose naf values lie in the weight closure is the
     fixpoint of the program frozen at those values, so enumerating the
-    (deduplicated) naf images of the closure finds all of them.
+    (deduplicated) naf images of the closure finds all of them.  A guess
+    whose frozen fixpoint is inconsistent, does not converge or raises some
+    head's uncertainty yields no candidate; the other guesses still run.
     """
     naf_ids = gp.naf_ids
     domain, report.guess_depth = _naf_guess_domain(
@@ -575,7 +579,7 @@ def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max
         guess = _override(gp, combo)
         try:
             fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
-        except (Inconsistent, NonConvergent):
+        except (Inconsistent, NonConvergent, MonotonicityError):
             continue
         if all(equal(naf(fix.values[b]), v, eps) for b, v in zip(naf_ids, combo)):
             add_candidate(fix)

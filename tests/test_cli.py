@@ -47,6 +47,16 @@ class TestSolveCommand:
         assert code == 1
         assert "non-convergent" in out
 
+    def test_monotonicity_error_in_a_guess_is_no_error(self, capsys, tmp_path):
+        # some naf guesses of this even loop raise p's uncertainty on its
+        # positive cycle; those are skipped, the others give answer sets
+        path = tmp_path / "widening.fasp"
+        path.write_text("a <- not b. b <- not a. p <- p, a. [tfn(0.4,0.4,1.5)]\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 0
+        assert "answer set 7:" in out
+        assert "error" not in err
+
     def test_unsafe_rule_exit_two(self, capsys, tmp_path):
         path = tmp_path / "unsafe.fasp"
         path.write_text("p(X) <- not q(X).\n")

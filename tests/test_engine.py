@@ -58,10 +58,13 @@ def jacobi(gp, frozen: dict) -> Interpretation | None:
     raises AggregationTie.
     """
     current = dict.fromkeys(gp.literals, UNKNOWN)
+    by_head: dict = {}  # head -> its rules in program order, from gp.rules alone
+    for rule in gp.rules:
+        by_head.setdefault(rule.head, []).append(rule)
 
     def fold(head):
         acc = None
-        for rule in gp.rules_for(head):
+        for rule in by_head[head]:
             body = None
             for item in rule.body:
                 if isinstance(item, FuzzyTruth):
@@ -75,9 +78,9 @@ def jacobi(gp, frozen: dict) -> Interpretation | None:
 
     for _ in range(5000):
         new = {}
-        for head in gp.index:
+        for head in by_head:
             new[head] = fold(head)
-            if gp.rules_for(head.complement()):
+            if head.complement() in by_head:
                 new[head] = kagg(new[head], negate(fold(head.complement())))
         settled = all(equal(current[h], v, EPS) for h, v in new.items())
         current.update(new)
@@ -102,14 +105,14 @@ def reference_model(gp) -> Interpretation | None:
     None when the passes do not settle or an aggregation ties, which may be
     on a state the iteration only passes through.
     """
-    naf_literals = {b for rule in gp.rules for b in rule.naf_body}
-    frozen = dict.fromkeys(naf_literals, naf(UNKNOWN))
+    under_naf = {b for rule in gp.rules for b in rule.naf_body}
+    frozen = dict.fromkeys(under_naf, naf(UNKNOWN))
     try:
         for _ in range(10):
             model = jacobi(gp, frozen)
             if model is None:
                 return None
-            settled = {b: naf(model.value(b)) for b in naf_literals}
+            settled = {b: naf(model.value(b)) for b in under_naf}
             if settled == frozen:
                 return model
             frozen = settled
@@ -220,7 +223,7 @@ def test_chain_takes_one_round_per_rule(n):
     assert report.iterations == n
     assert len(report.trace) == n
     (model,) = report.answer_sets
-    assert model.assignment == report.trace[-1]
+    assert model.assignment == report.trace[-1].assignment
 
 
 def test_cyclic_component_iterates_until_stable():

@@ -37,7 +37,6 @@ class TestParse:
         (rule,) = prog.rules
         assert rule.head == lit("a")
         assert rule.body == ()
-        assert rule.is_fact
         assert rule.weight == TRUE
 
     def test_function_symbol_rejected(self):
@@ -156,13 +155,6 @@ class TestGround:
         gp = ground(parse("q(a). p(X) <- q(X), not r(X)."))
         assert any(r.naf_body for r in gp.rules)
 
-    def test_index_agrees_with_linear_scan(self):
-        gp = ground(parse("a <- b. a <- c. b. -a."))
-        for literal in gp.head_literals:
-            scan = tuple(r for r in gp.rules if r.head == literal)
-            assert gp.rules_for(literal) == scan
-        assert len(gp.rules_for(lit("a"))) == 2
-
     def test_every_rule_literal_in_program_literals(self):
         gp = ground(parse("a <- b, not c. -d <- a."))
         lits = set(gp.literals)
@@ -239,13 +231,11 @@ class TestCompiledForm:
             scan = [(r.body, r.weight) for r in gp.rules if r.head == literal]
             compiled = [(decompile(body), weight) for body, weight in gp.rules_of[h]]
             assert compiled == scan
-            assert gp.rules_for(literal) == tuple(r for r in gp.rules if r.head == literal)
         assert [gp.literals[h] for h, _, _ in gp.compiled] == [r.head for r in gp.rules]
 
     def test_naf_ids_follow_first_occurrence(self, gp):
         scan = dict.fromkeys(b for rule in gp.rules for b in rule.naf_body)
         assert [gp.literals[b] for b in gp.naf_ids] == list(scan)
-        assert gp.naf_literals == tuple(scan)
         assert len(gp.naf_ids) == 5
 
     def test_components_cover_each_head_once(self, gp):

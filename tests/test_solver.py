@@ -29,6 +29,7 @@ from fuzzyasp import (
     satisfies,
     solve,
     tfn,
+    trfn,
     uncertainty_degree,
     verify_answer_set,
 )
@@ -350,6 +351,51 @@ class TestSolve:
         report = solve(parse(tumor_source), collect_trace=True)
         assert report.trace
         assert report.iterations == len(report.trace)
+
+    def test_monotonicity_error_in_a_guess_skips_only_that_guess(self):
+        # Every guess with `not b` at 1 makes a = 1, and p <- p, a then
+        # widens p's support by 1.5 each round (d = 1.5, 2.25, 3.375, ...):
+        # 216 of the 576 depth-2 guesses raise MonotonicityError.
+        report = solve(parse("a <- not b. b <- not a. p <- p, a. [tfn(0.4,0.4,1.5)]"))
+        assert report.guess_depth == 2
+        assert len(report.answer_sets) == 7
+        expected = {lit("a"): FALSE, lit("b"): TRUE, lit("p"): FALSE}
+        assert any(
+            all(equal(model.value(l), v) for l, v in expected.items())
+            for model in report.answer_sets
+        )
+
+
+class TestOrderDependentResults:
+    """Dependency-order result; semantics undecided.
+
+    On a cycle through a complement-coupled pair or through a truncated
+    weight the operator is not monotone, so the eps-limit it reaches, and
+    with it the interpretation ``verify_answer_set`` accepts as k-minimal,
+    depends on the order of evaluation.  These tests pin what
+    component-ordered evaluation gives, so that a change to the order shows
+    up; which answer the paper's semantics picks is not decided.
+    """
+
+    def test_complement_coupled_cycle(self):
+        report = solve(parse(
+            "-p1. [tfn(0.4,0.4,1.5)]\n"
+            "p4 <- -p1, not p1, not p1. [ifn(0.5,1)]\n"
+            "-p4 <- p4. [tfn(0.2,0.5,0.9)]\n"
+        ))
+        (model,) = report.answer_sets
+        assert equal(model.value(lit("p4")), trfn(0.2, 0.2, 0.4, 1.5))
+
+    def test_cycle_through_a_truncated_weight(self):
+        report = solve(parse(
+            "p1. [ifn(0.5,1)]\n"
+            "p1. [tfn(0.4,0.4,1.5)]\n"
+            "p0 <- p0, p1. [trfn(0.1,0.3,0.6,0.8)]\n"
+        ))
+        (model,) = report.answer_sets
+        p0 = model.value(lit("p0"))
+        assert p0.a == p0.b == 0.0
+        assert p0.d == 1.0
 
 
 class TestGuessLimits:
