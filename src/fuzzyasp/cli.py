@@ -94,11 +94,18 @@ class _EvalParser(_Parser):
 # --------------------------------------------------------------------------
 
 
+def _read_source(path: str) -> str:
+    """The text of a program file; ParseError when it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _cmd_solve(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        source = fh.read()
     report = solve(
-        parse(source),
+        parse(_read_source(args.path)),
         eps=args.tol,
         max_iter=args.max_iter,
         collect_trace=args.trace,
@@ -131,10 +138,7 @@ def _sorted_by_name(interp) -> list:
 
 def _value_json(v: FuzzyTruth) -> dict:
     m = measure(v)
-    return {
-        "a": v.a, "b": v.b, "c": v.c, "d": v.d,
-        "truncated": v.truncated, "t": m.t, "k": m.k,
-    }
+    return {**v._asdict(), "truncated": v.truncated, "t": m.t, "k": m.k}
 
 
 def _report_json(report, with_trace: bool) -> dict:
@@ -156,7 +160,7 @@ def _report_json(report, with_trace: bool) -> dict:
     if with_trace:
         doc["trace"] = [
             {
-                name: [v.a, v.b, v.c, v.d, v.truncated]
+                name: [*v, v.truncated]
                 for name, v in zip(snapshot.table.names, snapshot.values)
             }
             for snapshot in report.trace
@@ -165,9 +169,7 @@ def _report_json(report, with_trace: bool) -> dict:
 
 
 def _cmd_parse_only(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        source = fh.read()
-    print(Program(ground(parse(source)).rules).render(), end="")
+    print(Program(ground(parse(_read_source(args.path))).rules).render(), end="")
     return 0
 
 
@@ -301,10 +303,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FuzzyAspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FuzzyAspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ Conjunction is the product t-norm: componentwise parameter products for
 restricted operands, min/max over the outer and core cross products when a
 truncated operand is involved.  Disjunction is the De Morgan dual under the
 reflection negation; ``naf`` and ``kagg`` are the two nonmonotonic
-operators (failure and certainty-based aggregation).
+operators (failure and certainty-based aggregation).  Each result is built
+from its four parameters alone: whether it is truncated follows from them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ log = logging.getLogger(__name__)
 
 def negate(x: FuzzyTruth) -> FuzzyTruth:
     """Reflect the quadruple about 0.5; involutive, preserves uncertainty."""
-    a, b, c, d = x.params
-    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a, truncated=x.truncated)
+    a, b, c, d = x
+    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
 
 
 def naf(x: FuzzyTruth) -> FuzzyTruth:
@@ -57,11 +58,9 @@ def _product(xa, xb, xc, xd, ya, yb, yc, yd) -> tuple[float, float, float, float
 def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
     """Product t-norm.
 
-    The result is flagged truncated exactly when its outer parameters leave
-    [0, 1].
+    The result is truncated exactly when its outer parameters leave [0, 1].
     """
-    a, b, c, d = _product(x.a, x.b, x.c, x.d, y.a, y.b, y.c, y.d)
-    return FuzzyTruth(a, b, c, d, truncated=(a < 0.0 or d > 1.0))
+    return FuzzyTruth(*_product(*x, *y))
 
 
 def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
@@ -74,7 +73,7 @@ def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
         1.0 - x.d, 1.0 - x.c, 1.0 - x.b, 1.0 - x.a,
         1.0 - y.d, 1.0 - y.c, 1.0 - y.b, 1.0 - y.a,
     )
-    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a, truncated=(a < 0.0 or d > 1.0))
+    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
 
 
 def kagg(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> FuzzyTruth:

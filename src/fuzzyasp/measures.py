@@ -45,7 +45,7 @@ def uncertainty_degree(x: FuzzyTruth) -> float:
     occur together with a degenerate ramp (cores stay in [0, 1]), so the
     divisions below are safe exactly when they are reached.
     """
-    a, b, c, d = x.params
+    a, b, c, d = x
     k = (d + c - b - a) / 2.0
     if a < 0.0:
         k -= a * a / (2.0 * (b - a))
@@ -56,7 +56,7 @@ def uncertainty_degree(x: FuzzyTruth) -> float:
 
 def truth_degree(x: FuzzyTruth) -> float:
     """Mean of the equivalent probability density of the actual truth status."""
-    a, b, c, d = x.params
+    a, b, c, d = x
     k = uncertainty_degree(x)
     if k <= 0.0:
         # Dirac case: all mass at the (necessarily degenerate) core.

@@ -31,7 +31,7 @@ def integrate_density_mean(x: FuzzyTruth, tol: float = 1e-8) -> float:
 
     if uncertainty_degree(x) <= 0.0:
         raise OracleArgumentError("point values have a Dirac density; no quadrature")
-    breakpoints = sorted({p for p in x.params if 0.0 < p < 1.0})
+    breakpoints = sorted({p for p in x if 0.0 < p < 1.0})
     value, errest = quad(
         lambda v: v * density(x, v),
         0.0,
@@ -48,7 +48,7 @@ def integrate_density_mean(x: FuzzyTruth, tol: float = 1e-8) -> float:
 
 def _segments(x: FuzzyTruth):
     """Clipped support, density height and the three piece masses."""
-    a, b, c, d = x.params
+    a, b, c, d = x
     h = 1.0 / uncertainty_degree(x)
     lo, hi = max(0.0, a), min(1.0, d)
     m1 = h * ((b - a) ** 2 - (lo - a) ** 2) / (2.0 * (b - a)) if b > lo else 0.0
@@ -61,7 +61,7 @@ def sample_density(x: FuzzyTruth, n: int, rng: np.random.Generator) -> np.ndarra
     """Draw n variates by closed-form inversion of the piecewise CDF."""
     import numpy as np
 
-    a, b, c, d = x.params
+    a, b, c, d = x
     lo, hi, h, m1, m2, m3 = _segments(x)
     u = rng.random(n) * (m1 + m2 + m3)
     v = np.empty(n)
@@ -104,7 +104,7 @@ def prob_leq(
 
 
 def _key(x: FuzzyTruth) -> tuple:
-    return tuple(round(p, 9) for p in x.params) + (x.truncated,)
+    return tuple(round(p, 9) for p in x) + (x.truncated,)
 
 
 def closure_enumerate(

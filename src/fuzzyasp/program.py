@@ -125,7 +125,7 @@ class Rule:
         if items:
             parts.append(" <- " + ", ".join(items))
         parts.append(".")
-        if self.weight.params != (1.0, 1.0, 1.0, 1.0):
+        if self.weight != TRUE:
             parts.append(f" [{self.weight.render()}]")
         return "".join(parts)
 

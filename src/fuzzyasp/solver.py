@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from math import inf
 
 from .connectives import conj, disj, kagg, naf, negate
 from .errors import (
@@ -283,10 +284,10 @@ def _fixpoint(
     from outside itself is already final when it is evaluated.  An acyclic
     component is evaluated once; a cyclic one is iterated Jacobi-style over
     its own heads until they are stable within ``eps``, for at most
-    ``max_iter`` rounds (NonConvergent past that).  Every evaluation of a
-    component is one round: it counts in ``report.iterations`` and appends
-    a copy of the whole interpretation, on ``gp``'s literal table, to
-    ``trace``.
+    ``max_iter`` rounds; it is NonConvergent past that, or as soon as a
+    head gets a non-finite parameter.  Every evaluation of a component is
+    one round: it counts in ``report.iterations`` and appends a copy of the
+    whole interpretation, on ``gp``'s literal table, to ``trace``.
 
     With ``evolving`` each naf item reads the current interpretation, as in
     the operator trajectory of a program with naf; a cyclic component that
@@ -306,7 +307,7 @@ def _fixpoint(
     values = [UNKNOWN] * len(literals)
     for heads, cyclic, plan in gp.components if evolving else gp.frozen_components:
         # states of a cyclic trajectory so far; every head starts unknown
-        seen = {UNKNOWN.params * len(heads)} if evolving and cyclic else None
+        seen = {UNKNOWN * len(heads)} if evolving and cyclic else None
         for rounds in range(1, (max_iter if cyclic else 1) + 1):
             new = []
             for head, own, against in plan:
@@ -329,10 +330,13 @@ def _fixpoint(
                         raise MonotonicityError(
                             f"uncertainty increased at {literals[head]}: {old} -> {value}"
                         )
+            # cores stay in [0, 1], so only a and d can overflow to inf or nan
+            if not all(-inf < value.a and value.d < inf for value in new):
+                raise NonConvergent(rounds)
             if all(equal(old, value, eps) for old, value in zip(previous, new)):
                 break
             if seen is not None:
-                state = tuple(round(p, 12) for v in new for p in v.params)
+                state = tuple(round(p, 12) for v in new for p in v)
                 if state in seen:
                     raise NonConvergent(rounds)
                 seen.add(state)
@@ -472,19 +476,21 @@ def _has_naf_cycle(gp: GroundProgram) -> bool:
 def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
     """Possible naf values: image of the weight closure under naf.
 
-    The closure is taken at operator depth ``depth``, lowered one step at a
-    time while it exceeds the closure cap or while ``len(domain) ** slots``
-    exceeds ``max_guesses``, but never below 1 for the second reason.
-    Returns (domain, depth used); depth 0 means the bare seeds.
+    The seeds, TRUE, UNKNOWN and each rule's weight and inline values, are
+    taken in program order, not hash order.  The closure is taken at
+    operator depth ``depth``, lowered one step at a time while it exceeds
+    the closure cap or while ``len(domain) ** slots`` exceeds
+    ``max_guesses``, but never below 1 for the second reason.  Returns
+    (domain, depth used); depth 0 means the bare seeds.
     """
     from .oracle import closure_enumerate
 
-    seeds = {TRUE, UNKNOWN}
+    seeds = dict.fromkeys((TRUE, UNKNOWN))
     for _, body, weight in gp.compiled:
-        seeds.add(weight)
+        seeds[weight] = None
         for kind, x in body:
             if kind == VALUE:
-                seeds.add(x)
+                seeds[x] = None
     while True:
         if depth >= 1:
             try:

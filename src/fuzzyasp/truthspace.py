@@ -4,14 +4,15 @@ Every epistemic state is stored as one quadruple (a, b, c, d) with
 a <= b <= c <= d and core b, c inside [0, 1].  Intervals and triangles are
 derived classifications (a=b and c=d, respectively b=c), not separate
 representations.  A value whose support leaves [0, 1] keeps its original
-parameters and carries a ``truncated`` flag meaning "interpreted as the
-[0, 1]-truncation of this shape".
+parameters and is read as their [0, 1]-truncation; ``truncated`` is derived
+from the parameters, not stored beside them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AlphaOutOfRange, CoreOutOfRange, OrderViolation
 
@@ -19,9 +20,8 @@ from .errors import AlphaOutOfRange, CoreOutOfRange, OrderViolation
 DEFAULT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class FuzzyTruth:
-    """One truth value: quadruple plus truncation flag.
+class FuzzyTruth(NamedTuple):
+    """One truth value: the quadruple (a, b, c, d) itself.
 
     Construct through :func:`make` / :func:`ifn` / :func:`tfn` / :func:`trfn`,
     which validate the parameters; connectives may build instances directly.
@@ -31,11 +31,11 @@ class FuzzyTruth:
     b: float
     c: float
     d: float
-    truncated: bool = False
 
     @property
-    def params(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
+    def truncated(self) -> bool:
+        """The support leaves [0, 1]: the value reads as its truncation."""
+        return self.a < 0.0 or self.d > 1.0
 
     @property
     def kind(self) -> str:
@@ -63,15 +63,14 @@ def make(a: float, b: float, c: float, d: float) -> FuzzyTruth:
 
     Raises OrderViolation unless -inf < a <= b <= c <= d < inf (so a nan
     parameter fails too) and CoreOutOfRange unless b, c lie in [0, 1].  The
-    truncated flag is set when the support leaves [0, 1]; the original
-    parameters are preserved either way.
+    parameters are kept as given, also when the support leaves [0, 1].
     """
     a, b, c, d = float(a), float(b), float(c), float(d)
     if not (-math.inf < a <= b <= c <= d < math.inf):
         raise OrderViolation(f"parameters not finite and ordered: ({a}, {b}, {c}, {d})")
     if not (0.0 <= b <= 1.0 and 0.0 <= c <= 1.0):
         raise CoreOutOfRange(f"core [{b}, {c}] outside [0, 1]")
-    return FuzzyTruth(a, b, c, d, truncated=(a < 0.0 or d > 1.0))
+    return FuzzyTruth(a, b, c, d)
 
 
 def ifn(a: float, d: float) -> FuzzyTruth:
@@ -103,7 +102,7 @@ def membership(x: FuzzyTruth, v: float) -> float:
     """
     if x.truncated and not (0.0 <= v <= 1.0):
         return 0.0
-    a, b, c, d = x.params
+    a, b, c, d = x
     if b <= v <= c:
         return 1.0
     if a <= v < b:
@@ -126,16 +125,14 @@ def alpha_cut(x: FuzzyTruth, alpha: float) -> AlphaCut:
     """Cut at level alpha, computed on the untruncated quadruple."""
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha {alpha} outside [0, 1]")
-    a, b, c, d = x.params
+    a, b, c, d = x
     return AlphaCut(a + alpha * (b - a), d - alpha * (d - c), alpha)
 
 
 def equal(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> bool:
     """Parameter-wise comparison within ``eps``.
 
-    The truncation flag is derived from the parameters, so it adds no
-    information here: a flag mismatch between parameter-close values can
-    only be an eps-sized straddle of the [0, 1] boundary, which counts as
-    equal.
+    Values that straddle the [0, 1] boundary by at most ``eps`` count as
+    equal, though only one of them is truncated.
     """
-    return all(abs(p - q) <= eps for p, q in zip(x.params, y.params))
+    return all(abs(p - q) <= eps for p, q in zip(x, y))

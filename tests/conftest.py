@@ -25,8 +25,8 @@ def any_values(draw) -> FuzzyTruth:
 
 def approx_params(x: FuzzyTruth, params, tol=1e-9):
     __tracebackhide__ = True
-    assert all(abs(p - q) <= tol for p, q in zip(x.params, params)), (
-        f"{x.params} != {tuple(params)}"
+    assert all(abs(p - q) <= tol for p, q in zip(x, params)), (
+        f"{tuple(x)} != {tuple(params)}"
     )
 
 

@@ -214,11 +214,11 @@ def test_criterion_6_tumor_end_to_end(capsys):
     if ok:
         (model,) = report_obj.answer_sets
         by_name = {l.render(): v for l, v in model.items()}
-        ok = by_name["tsg_off"].params == (0.6, 0.6, 1.0, 1.0)
-        ok = ok and by_name["cin_on"].params == (1.0, 1.0, 1.0, 1.0)
+        ok = by_name["tsg_off"] == (0.6, 0.6, 1.0, 1.0)
+        ok = ok and by_name["cin_on"] == (1.0, 1.0, 1.0, 1.0)
         got = by_name["tumor"]
         ok = ok and all(
-            abs(p - q) <= 1e-12 for p, q in zip(got.params, golden["tumor"])
+            abs(p - q) <= 1e-12 for p, q in zip(got, golden["tumor"])
         )
         ok = ok and got.truncated
     report(capsys, "criterion 6: tumor program has one answer set matching the fixture",

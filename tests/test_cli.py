@@ -87,6 +87,21 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "/nonexistent/path.fasp")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "parse-only"])
+    def test_non_utf8_file_exit_two_without_traceback(self, tmp_path, command):
+        # exit 1 from solve would claim "no answer set"
+        path = tmp_path / "utf16.fasp"
+        path.write_bytes(b"\xff\xfea.\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzyasp.cli", command, str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
     def test_json_round_trip(self, capsys, tumor_file):
         code, out, _ = run(capsys, "solve", tumor_file, "--json")
         assert code == 0
@@ -161,6 +176,18 @@ class TestSolveCommand:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count('"answer_sets"') == len(paths)
+
+    @pytest.mark.parametrize(
+        "program",
+        ["programs/choice.fasp", "programs/flying.fasp", "tests/fixtures/crisp_loop3.fasp"],
+    )
+    def test_json_output_matches_golden_file(self, capsys, program):
+        # pins the answer-set order and every printed value, byte for byte
+        root = pathlib.Path(__file__).resolve().parent.parent
+        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve.json"
+        code, out, _ = run(capsys, "solve", str(root / program), "--json")
+        assert code == 0
+        assert out == golden.read_text()
 
     def test_solving_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         # the naf-cycle program needs the guess domain from the operator

@@ -38,6 +38,12 @@ class TestNegate:
         approx_params(x, (-2, 0.1, 0.7, 3), tol=1e-12)
         assert x.truncated
 
+    def test_reflection_inside_the_unit_interval_is_not_truncated(self):
+        # 1 - (-1e-17) rounds to 1.0: the reflected parameters lie in [0, 1]
+        x = negate(trfn(-1e-17, 0.0, 0.5, 0.5))
+        assert x == (0.5, 0.5, 1.0, 1.0)
+        assert not x.truncated
+
     @given(any_values())
     def test_involution(self, x):
         assert equal(negate(negate(x)), x, 1e-12)
@@ -95,12 +101,12 @@ class TestConj:
     @given(restricted_values(), restricted_values())
     def test_restricted_componentwise(self, x, y):
         v = conj(x, y)
-        assert v.params == (x.a * y.a, x.b * y.b, x.c * y.c, x.d * y.d)
+        assert v == (x.a * y.a, x.b * y.b, x.c * y.c, x.d * y.d)
         assert not v.truncated
 
     @given(any_values(), any_values())
     def test_matches_flat_derivation(self, x, y):
-        assert conj(x, y).params == flat_minmax_conj(x, y)
+        assert conj(x, y) == flat_minmax_conj(x, y)
 
     @given(any_values(), any_values())
     def test_commutative_and_ordered(self, x, y):

@@ -172,7 +172,7 @@ def stratified_programs(draw):
 def _max_gap(x: Interpretation, y: Interpretation) -> float:
     literals = set(x.assignment) | set(y.assignment)
     return max(
-        (abs(p - q) for l in literals for p, q in zip(x.value(l).params, y.value(l).params)),
+        (abs(p - q) for l in literals for p, q in zip(x.value(l), y.value(l))),
         default=0.0,
     )
 

@@ -87,7 +87,7 @@ class TestUncertaintyDegree:
     def test_equals_membership_area(self, x):
         area, _ = quad(
             lambda v: membership(x, v), 0, 1,
-            points=sorted({p for p in x.params if 0 < p < 1}) or None, limit=200,
+            points=sorted({p for p in x if 0 < p < 1}) or None, limit=200,
         )
         assert uncertainty_degree(x) == pytest.approx(area, abs=1e-8)
 
@@ -114,7 +114,7 @@ class TestDensity:
         for x in random_values(20, seed) + random_values(20, seed + 10, truncated=True):
             total, _ = quad(
                 lambda v: density(x, v), 0, 1,
-                points=sorted({p for p in x.params if 0 < p < 1}) or None, limit=200,
+                points=sorted({p for p in x if 0 < p < 1}) or None, limit=200,
             )
             assert total == pytest.approx(1.0, abs=1e-6)
 

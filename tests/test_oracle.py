@@ -46,7 +46,7 @@ class TestQuadratureMean:
         for x in random_values(25, 21) + random_values(25, 22, truncated=True):
             total, _ = quad(
                 lambda v: density(x, v), 0, 1,
-                points=sorted({p for p in x.params if 0 < p < 1}) or None, limit=200,
+                points=sorted({p for p in x if 0 < p < 1}) or None, limit=200,
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -108,7 +108,7 @@ class TestParse:
 
     def test_negative_parameters_in_fuzzy(self):
         prog = parse("a. [trfn(-2,0.3,0.9,3)]")
-        assert prog.rules[0].weight.params == (-2, 0.3, 0.9, 3)
+        assert prog.rules[0].weight == (-2, 0.3, 0.9, 3)
 
 
 class TestRender:

@@ -1,4 +1,5 @@
 import json
+import logging
 import pathlib
 import random
 
@@ -238,10 +239,10 @@ class TestSolve:
         report = solve(parse(tumor_source))
         assert len(report.answer_sets) == 1
         (model,) = report.answer_sets
-        assert model.value(lit("tsg_off")).params == (0.6, 0.6, 1.0, 1.0)
+        assert model.value(lit("tsg_off")) == (0.6, 0.6, 1.0, 1.0)
         assert model.value(lit("cin_on")) == TRUE
         tumor = model.value(lit("tumor"))
-        assert tumor.params == pytest.approx(tuple(golden["tumor"]), abs=1e-12)
+        assert tumor == pytest.approx(tuple(golden["tumor"]), abs=1e-12)
         assert tumor.truncated
 
     def test_certain_complementary_facts(self):
@@ -259,12 +260,12 @@ class TestSolve:
         report = solve(parse("a <- not b. b <- not a."))
         assert len(report.answer_sets) == 2
         found = {
-            (i.value(lit("a")).params, i.value(lit("b")).params)
+            (i.value(lit("a")), i.value(lit("b")))
             for i in report.answer_sets
         }
         assert found == {
-            (TRUE.params, FALSE.params),
-            (FALSE.params, TRUE.params),
+            (TRUE, FALSE),
+            (FALSE, TRUE),
         }
         assert any(c.status is Status.NON_CONVERGENT for c in report.candidates)
 
@@ -364,6 +365,28 @@ class TestSolve:
             all(equal(model.value(l), v) for l, v in expected.items())
             for model in report.answer_sets
         )
+
+
+    def test_non_finite_parameters_stop_the_trajectory(self, caplog):
+        # The outer parameters of p0, p1 and -p2 grow without bound while
+        # their cores converge; p0's reach -inf and inf in round 34.  The
+        # trajectory stops there, instead of running max_iter rounds on inf
+        # and nan parameters with a product ordering repair in each.
+        program = parse(
+            "p0 <- not p0, -p2. [ifn(0.5,1)]\n"
+            "p1. [tfn(0.4,0.4,1.5)]\n"
+            "p1 <- p0. [ifn(0.5,1)]\n"
+            "-p2 <- p1, not p0. [ifn(0.5,1)]\n"
+            "p0 <- -p0, not p1. [ifn(0.5,1)]\n"
+            "p1. [tfn(0.4,0.4,1.5)]\n"
+            "p0 <- -p2, p2, p1. [tfn(0.4,0.4,1.5)]\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="fuzzyasp"):
+            report = solve(program, guess_depth=1)
+        assert report.iterations <= 34
+        assert [c.status for c in report.candidates] == [Status.NON_CONVERGENT]
+        assert not report.answer_sets
+        assert caplog.records == []
 
 
 class TestOrderDependentResults:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fuzzyasp import (
     AlphaOutOfRange,
     CoreOutOfRange,
+    FuzzyTruth,
     OrderViolation,
     ParseError,
     alpha_cut,
@@ -23,11 +24,18 @@ from conftest import any_values, approx_params, restricted_values, unit
 
 
 class TestMake:
+    def test_a_value_is_its_parameter_tuple(self):
+        assert FuzzyTruth._fields == ("a", "b", "c", "d")
+        assert not FuzzyTruth(0.2, 0.3, 0.4, 0.5).truncated
+        assert FuzzyTruth(-0.1, 0.3, 0.4, 0.5).truncated
+        assert FuzzyTruth(0.2, 0.3, 0.4, 1.5).truncated
+        assert tuple(tfn(0.4, 0.4, 1.5)) == (0.4, 0.4, 0.4, 1.5)
+
     def test_truncated_triangle(self):
         x = make(0.4, 0.4, 0.4, 1.5)
         assert x.truncated
         assert x.kind == "tfn"
-        assert x.params == (0.4, 0.4, 0.4, 1.5)
+        assert x == (0.4, 0.4, 0.4, 1.5)
 
     def test_full_ignorance_interval(self):
         x = make(0, 0, 1, 1)
@@ -53,9 +61,9 @@ class TestMake:
             make(-0.5, -0.1, 0.5, 0.7)
 
     def test_convenience_constructors(self):
-        assert ifn(0.2, 0.9).params == (0.2, 0.2, 0.9, 0.9)
-        assert tfn(0, 0.5, 1).params == (0, 0.5, 0.5, 1)
-        assert trfn(0, 0.25, 0.5, 1).params == (0, 0.25, 0.5, 1)
+        assert ifn(0.2, 0.9) == (0.2, 0.2, 0.9, 0.9)
+        assert tfn(0, 0.5, 1) == (0, 0.5, 0.5, 1)
+        assert trfn(0, 0.25, 0.5, 1) == (0, 0.25, 0.5, 1)
 
     def test_doubly_semi_restricted_accepted(self):
         x = make(-2, 0.3, 0.9, 3)
@@ -63,7 +71,7 @@ class TestMake:
 
     @given(any_values())
     def test_round_trip_exact(self, x):
-        assert make(*x.params).params == x.params
+        assert make(*x) == x
 
 
 class TestMembership:
