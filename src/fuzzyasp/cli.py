@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from . import oracle as oracle_mod
-from .errors import FuzzyAspError, ParseError
+from .errors import FuzzyAspError, OrderViolation, ParseError
 from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
 from .program import Program, _Parser, ground, parse, parse_value
@@ -176,6 +177,9 @@ def _cmd_parse_only(args) -> int:
 def _cmd_eval(args) -> int:
     parser = _EvalParser(args.expression, args.tol)
     value = parser.parse_all(parser._agg)
+    # an overflow to inf or nan is no value: make rejects it as input too
+    if not (math.isfinite(value.a) and math.isfinite(value.d)):
+        raise OrderViolation(f"the result {_quad_text(value)} has a non-finite parameter")
     print(f"{value.render()} {_measure_text(value)}")
     return 0
 

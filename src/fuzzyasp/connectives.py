@@ -6,6 +6,15 @@ truncated operand is involved.  Disjunction is the De Morgan dual under the
 reflection negation; ``naf`` and ``kagg`` are the two nonmonotonic
 operators (failure and certainty-based aggregation).  Each result is built
 from its four parameters alone: whether it is truncated follows from them.
+
+``conj`` and ``disj`` take the componentwise form directly when both
+operands are restricted and fall back to :func:`_product` otherwise.  The
+two forms agree bit for bit: float multiplication is monotone on
+nonnegative operands, so min and max pick the componentwise products.  The
+one exception is a tie at zero, where ``min`` and ``max`` return the
+*first* of the tied products, and ``-0.0`` ties with ``0.0``; the fast
+path of ``conj`` reproduces that choice (``disj`` needs nothing, since
+``1 - x`` is never ``-0.0``).
 """
 
 from __future__ import annotations
@@ -39,9 +48,8 @@ def naf(x: FuzzyTruth) -> FuzzyTruth:
 def _product(xa, xb, xc, xd, ya, yb, yc, yd) -> tuple[float, float, float, float]:
     """Parameters (a, b, c, d) of the product t-norm of two quadruples.
 
-    For nonnegative ordered parameters the min/max cross products collapse
-    to the componentwise products, so the general form below covers the
-    restricted case too.
+    The general form, for any ordered parameters; :func:`conj` and
+    :func:`disj` take it only when an operand is not restricted.
     """
     outer = (xa * ya, xa * yd, xd * ya, xd * yd)
     core = (xb * yb, xb * yc, xc * yb, xc * yc)
@@ -59,19 +67,42 @@ def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
     """Product t-norm.
 
     The result is truncated exactly when its outer parameters leave [0, 1].
+    Restricted operands take the componentwise products, bit-identical to
+    :func:`_product`: ``a`` and ``b`` are the first and least of their
+    cross products.  ``c`` and ``d`` are the greatest, and also the last,
+    so when one is a zero, every product it is taken over is a zero and
+    ``max`` keeps the first of them, which may differ in sign: ``c = 0.0``
+    for ``tfn(0,0,1) & trfn(-0.0,0,-0.0,1)``, not ``xc * yc = -0.0``.
     """
-    return FuzzyTruth(*_product(*x, *y))
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    if 0.0 <= xa and 0.0 <= ya and xd <= 1.0 and yd <= 1.0:
+        # a zero c or d takes the first product of its max, as _product does
+        return FuzzyTruth(xa * ya, xb * yb, xc * yc or xb * yb, xd * yd or xa * ya)
+    return FuzzyTruth(*_product(xa, xb, xc, xd, ya, yb, yc, yd))
 
 
 def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
     """De Morgan dual of :func:`conj`: ``negate(conj(negate(x), negate(y)))``.
 
     Computed on the reflected parameters directly, so no intermediate value
-    is built; the result is bit-identical to the composed form.
+    is built; the result is bit-identical to the composed form.  Restricted
+    operands take the componentwise products of the reflected parameters.
+    These have no ``-0.0`` (``1 - x`` is ``0.0`` at ``x = 1``), so every
+    tie in ``_product`` is between equal bits and no zero rule is needed.
     """
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    if 0.0 <= xa and 0.0 <= ya and xd <= 1.0 and yd <= 1.0:
+        return FuzzyTruth(
+            1.0 - (1.0 - xa) * (1.0 - ya),
+            1.0 - (1.0 - xb) * (1.0 - yb),
+            1.0 - (1.0 - xc) * (1.0 - yc),
+            1.0 - (1.0 - xd) * (1.0 - yd),
+        )
     a, b, c, d = _product(
-        1.0 - x.d, 1.0 - x.c, 1.0 - x.b, 1.0 - x.a,
-        1.0 - y.d, 1.0 - y.c, 1.0 - y.b, 1.0 - y.a,
+        1.0 - xd, 1.0 - xc, 1.0 - xb, 1.0 - xa,
+        1.0 - yd, 1.0 - yc, 1.0 - yb, 1.0 - ya,
     )
     return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
 

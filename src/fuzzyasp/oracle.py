@@ -104,7 +104,9 @@ def prob_leq(
 
 
 def _key(x: FuzzyTruth) -> tuple:
-    return tuple(round(p, 9) for p in x) + (x.truncated,)
+    """Parameters rounded to 9 digits, then the truncated flag."""
+    a, b, c, d = x
+    return (round(a, 9), round(b, 9), round(c, 9), round(d, 9), a < 0.0 or d > 1.0)
 
 
 def closure_enumerate(

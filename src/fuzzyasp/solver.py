@@ -52,20 +52,26 @@ class Interpretation:
     ``Interpretation(mapping)`` numbers the mapping's own literals.
     ``Literal`` keys come back only through :meth:`value`,
     :attr:`assignment`, :meth:`items` and the text form.
+
+    ``_frozen_at`` is set only by :func:`solve`, and only while it runs:
+    the naf values (in ``gp.naf_ids`` order) of which these values are the
+    frozen fixpoint on the program being solved, so that
+    :func:`verify_answer_set` need not compute that fixpoint again.
     """
 
-    __slots__ = ("table", "values")
+    __slots__ = ("table", "values", "_frozen_at")
 
     def __init__(self, assignment=None):
         assignment = dict(assignment or {})
         self.table = LiteralTable(assignment)
         self.values = list(assignment.values())
+        self._frozen_at = None
 
     @classmethod
     def of(cls, table: LiteralTable, values: list) -> Interpretation:
         """The interpretation giving ``values[i]`` to ``table.literals[i]``."""
         self = cls.__new__(cls)
-        self.table, self.values = table, values
+        self.table, self.values, self._frozen_at = table, values, None
         return self
 
     def value(self, literal: Literal) -> FuzzyTruth:
@@ -427,7 +433,10 @@ def verify_answer_set(
     """Full Definition-style check of one candidate.
 
     Answer set iff the candidate is a consistent supported model and equals
-    the fixpoint of its own reduct; otherwise the specific failure.
+    the fixpoint of its own reduct; otherwise the specific failure.  When
+    :func:`solve` computed the candidate itself as the fixpoint of ``gp``
+    frozen at the very naf values its reduct freezes, that fixpoint is the
+    candidate and is not computed again; every check still runs.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
@@ -439,13 +448,19 @@ def verify_answer_set(
     violation = _unsupported(gp, values, eps)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
-    frozen = _override(gp, [naf(values[b]) for b in gp.naf_ids])
-    try:
-        fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=frozen)
-    except Inconsistent as exc:
-        return CandidateResult(i, Status.INCONSISTENT, exc.atom)
-    except NonConvergent:
-        return CandidateResult(i, Status.NON_CONVERGENT, None)
+    frozen = tuple(naf(values[b]) for b in gp.naf_ids)
+    # a naf value is 1 - b, never -0.0: values that are == have equal bits
+    if i._frozen_at == frozen:
+        fix = i
+    else:
+        try:
+            fix = kmin_supported_model(
+                gp, eps=eps, max_iter=max_iter, naf_values=_override(gp, frozen)
+            )
+        except Inconsistent as exc:
+            return CandidateResult(i, Status.INCONSISTENT, exc.atom)
+        except NonConvergent:
+            return CandidateResult(i, Status.NON_CONVERGENT, None)
     if not interpretations_equal(fix, i, eps):
         return CandidateResult(i, Status.NOT_K_MINIMAL, fix)
     return CandidateResult(i, Status.ANSWER_SET)
@@ -535,6 +550,12 @@ def solve(
     ``max_guesses``; GuessLimitExceeded when even depth 1 does not).  Guess
     and verification fixpoints evaluate the program with its naf items
     frozen, in the finer order where naf is no dependency.
+
+    Each candidate remembers the naf values it was computed from: none for
+    a positive program's fixpoint, its guess for a guess fixpoint.  The
+    verification of a candidate whose own naf values are those bits reuses
+    it instead of computing the same fixpoint again.  This holds within one
+    call only; the candidates it returns remember nothing.
     """
     gp = ground(program) if isinstance(program, Program) else program
     trace = [] if collect_trace else None
@@ -542,13 +563,17 @@ def solve(
 
     candidates: list[Interpretation] = []
 
-    def add_candidate(candidate: Interpretation):
+    def add_candidate(candidate: Interpretation, frozen: tuple | None):
+        """Keep a new candidate: the fixpoint of ``gp`` frozen at the naf
+        values ``frozen``, or of the evolving trajectory when it is None."""
         if not any(interpretations_equal(candidate, c, eps) for c in candidates):
+            candidate._frozen_at = frozen
             candidates.append(candidate)
 
     try:
         add_candidate(
-            _fixpoint(gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report)
+            _fixpoint(gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report),
+            None if gp.has_naf else (),
         )
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
@@ -559,6 +584,7 @@ def solve(
 
     for candidate in candidates:
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)
+        candidate._frozen_at = None
         report.candidates.append(result)
         if result.status is Status.ANSWER_SET:
             report.answer_sets.append(candidate)
@@ -588,4 +614,4 @@ def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max
         except (Inconsistent, NonConvergent, MonotonicityError):
             continue
         if all(equal(naf(fix.values[b]), v, eps) for b, v in zip(naf_ids, combo)):
-            add_candidate(fix)
+            add_candidate(fix, combo)

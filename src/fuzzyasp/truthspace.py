@@ -133,6 +133,14 @@ def equal(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> bool:
     """Parameter-wise comparison within ``eps``.
 
     Values that straddle the [0, 1] boundary by at most ``eps`` count as
-    equal, though only one of them is truncated.
+    equal, though only one of them is truncated.  Unrolled: the solver
+    calls it in every round of a cyclic component.
     """
-    return all(abs(p - q) <= eps for p, q in zip(x, y))
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        abs(xa - ya) <= eps
+        and abs(xb - yb) <= eps
+        and abs(xc - yc) <= eps
+        and abs(xd - yd) <= eps
+    )

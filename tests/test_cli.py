@@ -256,6 +256,20 @@ class TestEval:
         code, _, err = run(capsys, "eval", "ifn(0.5,1) &")
         assert code == 2
 
+    def test_non_finite_result_exit_two_without_traceback(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzyasp.cli", "eval",
+             "trfn(-1e308,0,1,1e308) & trfn(-1e308,0,1,1e308)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: the result trfn(-inf,0.0,1.0,inf) has a non-finite parameter\n"
+        )
+
     def test_long_prefix_chain(self, capsys):
         code, out, _ = run(capsys, "eval", "!" * 3000 + "ifn(0,1)")
         assert code == 0 and out.startswith("ifn(0.0,1.0)")

@@ -1,8 +1,13 @@
+import math
+import struct
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from fuzzyasp import (
     FALSE,
+    FuzzyTruth,
     TRUE,
     UNKNOWN,
     AggregationTie,
@@ -19,7 +24,29 @@ from fuzzyasp import (
     uncertainty_degree,
 )
 
+from fuzzyasp.connectives import _product
+from fuzzyasp.oracle import _key
+
 from conftest import any_values, approx_params, restricted_values
+
+core_params = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)
+
+
+@st.composite
+def edge_values(draw) -> FuzzyTruth:
+    """Values as the connectives can produce them, edge cases included.
+
+    Ordered, with the core in [0, 1]: signed zeros, 1.0, subnormals,
+    supports reaching past [0, 1] up to +-inf, and a nan outer parameter.
+    """
+    b, c = sorted(draw(st.tuples(core_params, core_params)))
+    a = draw(st.sampled_from([b, 0.0, -0.0, -math.inf, math.nan]) | st.floats(max_value=b))
+    d = draw(st.sampled_from([c, 1.0, math.inf, math.nan]) | st.floats(min_value=c))
+    return FuzzyTruth(a, b, c, d)
+
+
+def bits(params) -> bytes:
+    return struct.pack(f"{len(params)}d", *params)
 
 
 def flat_minmax_conj(x, y):
@@ -119,6 +146,11 @@ class TestConj:
     def test_associative_restricted(self, x, y, z):
         assert equal(conj(conj(x, y), z), conj(x, conj(y, z)), 1e-9)
 
+    @given(edge_values(), edge_values())
+    @example(tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1))
+    def test_bit_identical_to_the_general_product(self, x, y):
+        assert bits(conj(x, y)) == bits(_product(*x, *y))
+
 
 class TestDisj:
     def test_identity_dual(self):
@@ -130,6 +162,11 @@ class TestDisj:
 
     def test_annihilator(self):
         assert equal(disj(TRUE, tfn(0.2, 0.4, 0.9)), TRUE, 1e-12)
+
+    @given(edge_values(), edge_values())
+    @example(tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1))
+    def test_bit_identical_to_the_composed_dual(self, x, y):
+        assert bits(disj(x, y)) == bits(negate(conj(negate(x), negate(y))))
 
     @given(any_values(), any_values())
     def test_de_morgan_both_ways(self, x, y):
@@ -161,3 +198,18 @@ class TestKagg:
         assert uncertainty_degree(v) == pytest.approx(
             min(uncertainty_degree(x), uncertainty_degree(y)), abs=1e-9
         )
+
+
+class TestUnrolledKernels:
+    @given(edge_values(), edge_values(), st.sampled_from([1e-9, 0.0, 0.5, math.inf]))
+    @example(tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1), 0.0)
+    def test_equal_matches_the_generator_form(self, x, y, eps):
+        assert equal(x, y, eps) is all(abs(p - q) <= eps for p, q in zip(x, y))
+
+    @given(edge_values())
+    @example(trfn(-0.0, 0, -0.0, 1))
+    def test_oracle_key_matches_the_tuple_form(self, x):
+        expected = tuple(round(p, 9) for p in x) + (x.truncated,)
+        key = _key(x)
+        assert bits(key[:4]) == bits(expected[:4])
+        assert key[4] is expected[4]

@@ -83,6 +83,18 @@ class TestUncertaintyDegree:
     def test_trapezoid(self):
         assert uncertainty_degree(trfn(0, 1 / 3, 2 / 3, 1)) == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9: (d+c-b-a)/2 minus the two clipped corners "
+        "cancels every digit on a wide support; k reads 0.0 at +-1e100 and "
+        "-inf at +-1e200",
+    )
+    def test_wide_truncated_support_keeps_its_clipped_area(self):
+        # the membership is 1 on all of [0, 1]: a uniform density
+        for width in (1e100, 1e200):
+            m = measure(trfn(-width, 0, 1, width))
+            assert (m.t, m.k) == pytest.approx((0.5, 1.0), abs=1e-12)
+
     @given(any_values())
     def test_equals_membership_area(self, x):
         area, _ = quad(

@@ -29,6 +29,7 @@ from fuzzyasp import (
     reduct,
     satisfies,
     solve,
+    solver,
     tfn,
     trfn,
     uncertainty_degree,
@@ -331,6 +332,44 @@ class TestSolve:
                 assert is_supported(model, gp) is None
                 fix = kmin_supported_model(reduct(gp, model))
                 assert interpretations_equal(fix, model, 1e-9)
+
+    def test_positive_program_verification_reuses_the_solve_fixpoint(
+        self, monkeypatch, tumor_source
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kmin_supported_model called")
+
+        monkeypatch.setattr(solver, "kmin_supported_model", refuse)
+        report = solve(parse(tumor_source))
+        assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+
+    def test_crisp_even_loop_verification_recomputes_no_guess_fixpoint(self, monkeypatch):
+        kmin, verify = solver.kmin_supported_model, solver.verify_answer_set
+        verifying, calls = [], []
+
+        def counting_kmin(*args, **kwargs):
+            calls.append(bool(verifying))
+            return kmin(*args, **kwargs)
+
+        def flagged_verify(*args, **kwargs):
+            verifying.append(True)
+            try:
+                return verify(*args, **kwargs)
+            finally:
+                verifying.pop()
+
+        monkeypatch.setattr(solver, "kmin_supported_model", counting_kmin)
+        monkeypatch.setattr(solver, "verify_answer_set", flagged_verify)
+        report = solve(parse("a <- not b. b <- not a."))
+        assert len(report.answer_sets) == 2
+        assert calls and not any(calls)
+
+    def test_returned_answer_sets_vouch_for_nothing(self):
+        # a <- a. is supported by any value of a; only unknown is k-minimal
+        gp = ground(parse("a <- a."))
+        (model,) = solve(gp).answer_sets
+        model.values[gp.table.ids[lit("a")]] = TRUE
+        assert verify_answer_set(gp, model).status is Status.NOT_K_MINIMAL
 
     @pytest.mark.xfail(
         strict=True,
