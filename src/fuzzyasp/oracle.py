@@ -3,15 +3,14 @@
 The quadrature and Monte Carlo checks are the correctness yardstick for the
 closed-form measures and the solver's brute-force tests.  :func:`closure_enumerate`
 is also on the solve path: the solver draws its naf guess domain from it on
-every program with a cycle through naf, where it can be the largest single
-cost.  numpy and scipy are imported inside the numeric checks only, so the
-solver's use of :func:`closure_enumerate` (and importing the CLI) does not
-load them.
+every program with a cycle through naf.  numpy and scipy are imported inside
+the numeric checks only, so the solver's use of :func:`closure_enumerate`
+(and importing the CLI) does not load them.
 """
 
 from __future__ import annotations
 
-import itertools
+from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
 from .connectives import conj, disj, kagg, naf, negate
@@ -114,32 +113,69 @@ def closure_enumerate(
 ) -> tuple[FuzzyTruth, ...]:
     """Close a value set under the five connectives up to operator depth.
 
-    Aggregation ties are skipped (that pair simply has no combination).
-    Raises ClosureTooLarge past ``cap`` values.
+    Each level applies ``negate`` and ``naf`` to every value and ``conj``,
+    ``disj`` and ``kagg`` to every ordered pair, and keeps the first value
+    produced for each ``_key``; aggregation ties are skipped (that pair
+    simply has no combination).  The loop leaves out results that cannot
+    enter the closure, so its values, their order and their bits are those
+    of the full loop:
+
+    - ``kagg`` returns one of its operands, and a stored value with finite
+      parameters is under its own key already.  So ``kagg`` runs only on
+      pairs with an inf or nan parameter.  A nan never equals itself, so a
+      value holding one gets a new key whenever it is produced, and
+      ``kagg`` stores it once more.
+    - On finite parameters ``conj`` and ``disj`` are commutative up to the
+      sign of a tied zero in ``_product``'s min/max, which ``_key``
+      ignores, so ``(w, v)`` is skipped once ``(v, w)`` has run.  With inf
+      or nan the order of the min/max operands matters, and both orders run.
+    - A ``negate``, ``naf``, ``conj`` or ``disj`` result equal to one
+      already produced is not keyed again.  These results are new objects,
+      so a nan in one never matches.
+    - A level that adds no value ends the loop: the next would repeat it.
+
+    Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, and
+    ClosureTooLarge past ``cap`` values.
     """
+    if depth < 0:
+        raise OracleArgumentError("depth must be non-negative")
     if depth > 4:
         raise OracleArgumentError("depth must be at most 4")
+    if cap < 1:
+        raise OracleArgumentError("the cap must be at least 1")
     values: dict[tuple, FuzzyTruth] = {}
     for w in weights:
         values.setdefault(_key(w), w)
+    seen = set(values.values())
     for _ in range(depth):
         current = list(values.values())
-        added = False
         for v in current:
-            for produced in (negate(v), naf(v)):
-                if values.setdefault(_key(produced), produced) is produced:
-                    added = True
-        for v, w in itertools.product(current, current):
-            produced = [conj(v, w), disj(v, w)]
-            try:
-                produced.append(kagg(v, w))
-            except AggregationTie:
-                pass
-            for p in produced:
-                if values.setdefault(_key(p), p) is p:
-                    added = True
-            if len(values) > cap:
-                raise ClosureTooLarge(f"closure exceeded {cap} values")
-        if not added:
+            for p in (negate(v), naf(v)):
+                if p not in seen:
+                    seen.add(p)
+                    values.setdefault(_key(p), p)
+        tagged = [(v, all(map(isfinite, v))) for v in current]
+        loose: list[tuple[FuzzyTruth, bool]] = []  # earlier non-finite values
+        for i, (v, v_finite) in enumerate(tagged):
+            if v_finite:
+                partners = loose + tagged[i:]
+            else:
+                partners = tagged
+                loose.append((v, False))
+            for w, w_finite in partners:
+                for p in (conj(v, w), disj(v, w)):
+                    if p not in seen:
+                        seen.add(p)
+                        values.setdefault(_key(p), p)
+                if not (v_finite and w_finite):
+                    try:
+                        p = kagg(v, w)
+                    except AggregationTie:
+                        pass
+                    else:
+                        values.setdefault(_key(p), p)
+                if len(values) > cap:
+                    raise ClosureTooLarge(f"closure exceeded {cap} values")
+        if len(values) == len(current):
             break
     return tuple(values.values())

@@ -179,7 +179,12 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "program",
-        ["programs/choice.fasp", "programs/flying.fasp", "tests/fixtures/crisp_loop3.fasp"],
+        [
+            "programs/choice.fasp",
+            "programs/flying.fasp",
+            "tests/fixtures/crisp_loop3.fasp",
+            "tests/fixtures/weighted_loop.fasp",
+        ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):
         # pins the answer-set order and every printed value, byte for byte
@@ -409,6 +414,19 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--depth", "-1"], "depth must be non-negative"),
+            (["--cap", "-5"], "the cap must be at least 1"),
+            (["--cap", "0"], "the cap must be at least 1"),
+        ],
+    )
+    def test_closure_range_errors_name_the_argument(self, capsys, option, message):
+        # not the seed alone, nor "closure exceeded -5 values"
+        code, out, err = run(capsys, "oracle", "closure", "ifn(0.5,1)", *option)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestParserFuzz:

@@ -1,20 +1,34 @@
+import itertools
+import struct
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.integrate import quad
 
 from fuzzyasp import (
     FALSE,
     TRUE,
     UNKNOWN,
+    AggregationTie,
     ClosureTooLarge,
+    conj,
     density,
+    disj,
     equal,
     ifn,
+    kagg,
+    make,
+    naf,
+    negate,
     tfn,
     trfn,
     truth_degree,
 )
+from fuzzyasp import oracle
 from fuzzyasp.oracle import (
+    _key,
     closure_enumerate,
     integrate_density_mean,
     prob_leq,
@@ -139,3 +153,94 @@ class TestClosure:
             closure_enumerate(
                 [tfn(0.4, 0.4, 1.5), tfn(0.1, 0.1, 0.5), ifn(0.6, 1)], 3, cap=1000
             )
+
+    def test_saturated_level_ends_the_loop(self, monkeypatch):
+        # level 1 adds FALSE, level 2 adds nothing, so level 3 never runs
+        calls = []
+        monkeypatch.setattr(oracle, "negate", lambda x: calls.append(x) or negate(x))
+        assert len(closure_enumerate([TRUE, UNKNOWN], 3)) == 3
+        assert len(calls) == 2 + 3
+
+    def test_finite_values_are_never_aggregated(self, monkeypatch):
+        def no_kagg(x, y):
+            raise AssertionError("kagg on finite operands")
+
+        monkeypatch.setattr(oracle, "kagg", no_kagg)
+        closure_enumerate([TRUE, UNKNOWN, ifn(0.6, 0.6)], 3)
+
+
+def full_closure_loop(weights, depth, cap):
+    """The closure loop before it skipped work, kept as the reference:
+    every level applies all five connectives to every value and pair."""
+    values = {}
+    for w in weights:
+        values.setdefault(_key(w), w)
+    for _ in range(depth):
+        current = list(values.values())
+        added = False
+        for v in current:
+            for produced in (negate(v), naf(v)):
+                if values.setdefault(_key(produced), produced) is produced:
+                    added = True
+        for v, w in itertools.product(current, current):
+            produced = [conj(v, w), disj(v, w)]
+            try:
+                produced.append(kagg(v, w))
+            except AggregationTie:
+                pass
+            for p in produced:
+                if values.setdefault(_key(p), p) is p:
+                    added = True
+            if len(values) > cap:
+                raise ClosureTooLarge(f"closure exceeded {cap} values")
+        if not added:
+            break
+    return tuple(values.values())
+
+
+seed_core = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def seed_values(draw):
+    """Valid seeds: signed zeros, 1.0, truncated supports, and outer
+    parameters up to 1e300, whose products overflow to inf and then meet
+    a zero as nan."""
+    b, c = sorted(draw(st.tuples(seed_core, seed_core)))
+    a = draw(st.sampled_from([b, 0.0, -0.0, -1.0, -1e300]) | st.floats(-1e300, b))
+    d = draw(st.sampled_from([c, 1.0, 2.0, 1e300]) | st.floats(c, 1e300))
+    return make(a, b, c, d)
+
+
+TUMOR_WEIGHTS = [tfn(0.4, 0.4, 1.5), tfn(0.1, 0.1, 0.5), ifn(0.6, 1)]
+
+
+def packed(values):
+    return [struct.pack("4d", *v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(seed_values(), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 3),
+    st.sampled_from([1, 5, 60, 400, 3000]),
+)
+@example([tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1)], False, 3, 100_000)
+@example(TUMOR_WEIGHTS, False, 2, 100_000)
+@example([trfn(-1e300, 0, 1, 1e300)], False, 3, 100_000)
+@example([trfn(-1e300, 0.5, 0.5, 1e300)], True, 3, 3000)
+@example(TUMOR_WEIGHTS, True, 3, 1000)
+def test_closure_matches_the_full_loop(seeds, with_crisp, depth, cap):
+    # same values in the same order, bit for bit, or the same cap error;
+    # at depth 3 the 1e300 seeds reach nan parameters, which never match
+    # their own key, so kagg and both orders of a pair add values there
+    if with_crisp:
+        seeds = [TRUE, UNKNOWN, *seeds]
+    try:
+        expected = full_closure_loop(seeds, depth, cap)
+    except ClosureTooLarge as exc:
+        with pytest.raises(ClosureTooLarge, match=str(exc)):
+            closure_enumerate(seeds, depth, cap=cap)
+    else:
+        assert packed(closure_enumerate(seeds, depth, cap=cap)) == packed(expected)
