@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import oracle as oracle_mod
-from .errors import FuzzyAspError, OrderViolation, ParseError
+from .errors import FuzzyAspError, ParseError
 from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
 from .program import Program, _Parser, ground, parse, parse_value
@@ -177,9 +177,6 @@ def _cmd_parse_only(args) -> int:
 def _cmd_eval(args) -> int:
     parser = _EvalParser(args.expression, args.tol)
     value = parser.parse_all(parser._agg)
-    # an overflow to inf or nan is no value: make rejects it as input too
-    if not (math.isfinite(value.a) and math.isfinite(value.d)):
-        raise OrderViolation(f"the result {_quad_text(value)} has a non-finite parameter")
     print(f"{value.render()} {_measure_text(value)}")
     return 0
 
@@ -248,8 +245,21 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fuzzyasp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
+    # argparse reports a ValueError as "invalid <function name> value"
+    def tolerance(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value < math.inf:  # nan fails too
+            raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+        return value
+
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+        return value
+
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_EPS,
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_EPS,
                        help="comparison tolerance (default 1e-9)")
 
     p = sub.add_parser("solve", help="compute answer sets of a program file")
@@ -257,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--trace", action="store_true",
                    help="assignments after each component evaluation round")
-    p.add_argument("--max-iter", type=int, default=10_000,
+    p.add_argument("--max-iter", type=positive_int, default=10_000,
                    help="rounds allowed per cyclic component (default 10000)")
     add_tol(p)
     p.set_defaults(func=_cmd_solve)

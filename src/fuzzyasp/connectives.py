@@ -15,17 +15,22 @@ one exception is a tie at zero, where ``min`` and ``max`` return the
 *first* of the tied products, and ``-0.0`` ties with ``0.0``; the fast
 path of ``conj`` reproduces that choice (``disj`` needs nothing, since
 ``1 - x`` is never ``-0.0``).
+
+Every value ``conj`` and ``disj`` return has finite parameters, as
+:func:`~fuzzyasp.truthspace.make` requires of its input.  Only the general
+form can overflow, on a truncated operand with a huge support; it then
+raises OrderViolation instead of returning an inf or nan parameter.  On
+finite ordered operands with cores in [0, 1] its min/max products are
+ordered, so a result that is finite is a valid value.
 """
 
 from __future__ import annotations
 
-import logging
+from math import inf
 
-from .errors import AggregationTie
+from .errors import AggregationTie, OrderViolation
 from .measures import uncertainty_degree
 from .truthspace import DEFAULT_EPS, FuzzyTruth, equal
-
-log = logging.getLogger(__name__)
 
 
 def negate(x: FuzzyTruth) -> FuzzyTruth:
@@ -53,14 +58,14 @@ def _product(xa, xb, xc, xd, ya, yb, yc, yd) -> tuple[float, float, float, float
     """
     outer = (xa * ya, xa * yd, xd * ya, xd * yd)
     core = (xb * yb, xb * yc, xc * yb, xc * yc)
-    a, d = min(outer), max(outer)
-    b, c = min(core), max(core)
-    # Reached only with non-finite parameters: a positive cycle through a
-    # truncated weight can drive the outer ones to inf, and inf * 0 is nan.
-    if not a <= b <= c <= d:
-        log.warning("product ordering repair for %r and %r", (xa, xb, xc, xd), (ya, yb, yc, yd))
-        a, b, c, d = sorted((a, b, c, d))
-    return a, b, c, d
+    return min(outer), min(core), max(core), max(outer)
+
+
+def _finite(a, b, c, d) -> FuzzyTruth:
+    """The value (a, b, c, d); OrderViolation when ``a`` or ``d`` is not finite."""
+    if not (-inf < a and d < inf):  # a nan fails too
+        raise OrderViolation(f"the result trfn({a!r},{b!r},{c!r},{d!r}) has a non-finite parameter")
+    return FuzzyTruth(a, b, c, d)
 
 
 def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
@@ -79,7 +84,7 @@ def conj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
     if 0.0 <= xa and 0.0 <= ya and xd <= 1.0 and yd <= 1.0:
         # a zero c or d takes the first product of its max, as _product does
         return FuzzyTruth(xa * ya, xb * yb, xc * yc or xb * yb, xd * yd or xa * ya)
-    return FuzzyTruth(*_product(xa, xb, xc, xd, ya, yb, yc, yd))
+    return _finite(*_product(xa, xb, xc, xd, ya, yb, yc, yd))
 
 
 def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
@@ -104,7 +109,7 @@ def disj(x: FuzzyTruth, y: FuzzyTruth) -> FuzzyTruth:
         1.0 - xd, 1.0 - xc, 1.0 - xb, 1.0 - xa,
         1.0 - yd, 1.0 - yc, 1.0 - yb, 1.0 - ya,
     )
-    return FuzzyTruth(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
+    return _finite(1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a)
 
 
 def kagg(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> FuzzyTruth:

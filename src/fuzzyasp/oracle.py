@@ -10,11 +10,10 @@ the numeric checks only, so the solver's use of :func:`closure_enumerate`
 
 from __future__ import annotations
 
-from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .connectives import conj, disj, kagg, naf, negate
-from .errors import AggregationTie, ClosureTooLarge, OracleArgumentError, QuadratureFailure
+from .connectives import conj, disj, naf, negate
+from .errors import ClosureTooLarge, OracleArgumentError, OrderViolation, QuadratureFailure
 from .measures import density, uncertainty_degree
 from .truthspace import FuzzyTruth
 
@@ -115,23 +114,19 @@ def closure_enumerate(
 
     Each level applies ``negate`` and ``naf`` to every value and ``conj``,
     ``disj`` and ``kagg`` to every ordered pair, and keeps the first value
-    produced for each ``_key``; aggregation ties are skipped (that pair
-    simply has no combination).  The loop leaves out results that cannot
+    produced for each ``_key``; a ``conj`` or ``disj`` that overflows
+    (OrderViolation) and an aggregation tie are skipped (that pair simply
+    has no such combination).  The loop leaves out results that cannot
     enter the closure, so its values, their order and their bits are those
     of the full loop:
 
-    - ``kagg`` returns one of its operands, and a stored value with finite
-      parameters is under its own key already.  So ``kagg`` runs only on
-      pairs with an inf or nan parameter.  A nan never equals itself, so a
-      value holding one gets a new key whenever it is produced, and
-      ``kagg`` stores it once more.
-    - On finite parameters ``conj`` and ``disj`` are commutative up to the
-      sign of a tied zero in ``_product``'s min/max, which ``_key``
-      ignores, so ``(w, v)`` is skipped once ``(v, w)`` has run.  With inf
-      or nan the order of the min/max operands matters, and both orders run.
+    - ``kagg`` returns one of its operands, which is stored under its own
+      key already, so it never runs.
+    - ``conj`` and ``disj`` are commutative up to the sign of a tied zero
+      in ``_product``'s min/max, which ``_key`` ignores, so ``(w, v)`` is
+      skipped once ``(v, w)`` has run.
     - A ``negate``, ``naf``, ``conj`` or ``disj`` result equal to one
-      already produced is not keyed again.  These results are new objects,
-      so a nan in one never matches.
+      already produced is not keyed again.
     - A level that adds no value ends the loop: the next would repeat it.
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, and
@@ -154,25 +149,15 @@ def closure_enumerate(
                 if p not in seen:
                     seen.add(p)
                     values.setdefault(_key(p), p)
-        tagged = [(v, all(map(isfinite, v))) for v in current]
-        loose: list[tuple[FuzzyTruth, bool]] = []  # earlier non-finite values
-        for i, (v, v_finite) in enumerate(tagged):
-            if v_finite:
-                partners = loose + tagged[i:]
-            else:
-                partners = tagged
-                loose.append((v, False))
-            for w, w_finite in partners:
-                for p in (conj(v, w), disj(v, w)):
+        for i, v in enumerate(current):
+            for w in current[i:]:
+                for op in (conj, disj):
+                    try:
+                        p = op(v, w)
+                    except OrderViolation:
+                        continue
                     if p not in seen:
                         seen.add(p)
-                        values.setdefault(_key(p), p)
-                if not (v_finite and w_finite):
-                    try:
-                        p = kagg(v, w)
-                    except AggregationTie:
-                        pass
-                    else:
                         values.setdefault(_key(p), p)
                 if len(values) > cap:
                     raise ClosureTooLarge(f"closure exceeded {cap} values")

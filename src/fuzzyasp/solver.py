@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from math import inf
 
 from .connectives import conj, disj, kagg, naf, negate
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     Inconsistent,
     MonotonicityError,
     NonConvergent,
+    OrderViolation,
 )
 from .measures import truth_degree, uncertainty_degree
 from .program import (
@@ -290,10 +290,11 @@ def _fixpoint(
     from outside itself is already final when it is evaluated.  An acyclic
     component is evaluated once; a cyclic one is iterated Jacobi-style over
     its own heads until they are stable within ``eps``, for at most
-    ``max_iter`` rounds; it is NonConvergent past that, or as soon as a
-    head gets a non-finite parameter.  Every evaluation of a component is
-    one round: it counts in ``report.iterations`` and appends a copy of the
-    whole interpretation, on ``gp``'s literal table, to ``trace``.
+    ``max_iter`` rounds; it is NonConvergent past that.  Every evaluation
+    of a component is one round: it counts in ``report.iterations`` and
+    appends a copy of the whole interpretation, on ``gp``'s literal table,
+    to ``trace``.  A round whose products overflow (OrderViolation) is not
+    completed: the component, cyclic or not, is NonConvergent.
 
     With ``evolving`` each naf item reads the current interpretation, as in
     the operator trajectory of a program with naf; a cyclic component that
@@ -321,6 +322,8 @@ def _fixpoint(
                     new.append(_target(values, own, against, naf_values, eps))
                 except AggregationTie as exc:
                     raise Inconsistent(literals[head].atom) from exc
+                except OrderViolation as exc:
+                    raise NonConvergent(rounds) from exc
             previous = [values[h] for h in heads] if cyclic else None
             for head, value in zip(heads, new):
                 values[head] = value
@@ -336,9 +339,6 @@ def _fixpoint(
                         raise MonotonicityError(
                             f"uncertainty increased at {literals[head]}: {old} -> {value}"
                         )
-            # cores stay in [0, 1], so only a and d can overflow to inf or nan
-            if not all(-inf < value.a and value.d < inf for value in new):
-                raise NonConvergent(rounds)
             if all(equal(old, value, eps) for old, value in zip(previous, new)):
                 break
             if seen is not None:
@@ -360,7 +360,6 @@ def kmin_supported_model(
     *,
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
-    trace: list | None = None,
     naf_values: list | None = None,
 ) -> Interpretation:
     """Fixpoint of the supported-value operator on a positive program.
@@ -368,7 +367,7 @@ def kmin_supported_model(
     Starts from the all-unknown interpretation; every round must leave each
     literal at least as certain as before (MonotonicityError otherwise).
     Raises NonConvergent past ``max_iter`` rounds of one cyclic component
-    and Inconsistent when the fixpoint assigns contradictory equally-certain
+    or when a product overflows, and Inconsistent when the fixpoint assigns contradictory equally-certain
     complements or an aggregation ties.
 
     ``naf_values`` is an override list indexed by literal id (``gp.literals``
@@ -379,7 +378,7 @@ def kmin_supported_model(
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
-    return _fixpoint(gp, eps, max_iter, naf_values=naf_values, trace=trace)
+    return _fixpoint(gp, eps, max_iter, naf_values=naf_values)
 
 
 def _override(gp: GroundProgram, frozen) -> list:

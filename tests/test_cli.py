@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import pathlib
 import random
@@ -56,6 +57,16 @@ class TestSolveCommand:
         assert code == 0
         assert "answer set 7:" in out
         assert "error" not in err
+
+    def test_overflow_in_an_acyclic_component_is_non_convergent(self, capsys, tmp_path, caplog):
+        # conj(a, a) overflows: no value, so no candidate to reject as not-model
+        path = tmp_path / "overflow.fasp"
+        path.write_text("a. [trfn(-1e300,0,1,1e300)]\nb <- a, a, c.\n")
+        with caplog.at_level(logging.DEBUG):
+            code, out, err = run(capsys, "solve", str(path))
+        assert (code, err) == (1, "")
+        assert "candidates: non-convergent\n" in out
+        assert caplog.records == []
 
     def test_unsafe_rule_exit_two(self, capsys, tmp_path):
         path = tmp_path / "unsafe.fasp"
@@ -275,6 +286,18 @@ class TestEval:
             "error: the result trfn(-inf,0.0,1.0,inf) has a non-finite parameter\n"
         )
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "trfn(-1e308,0,1,1e308) | trfn(-1e308,0,1,1e308)",
+            "(trfn(-1e308,0,1,1e308) & trfn(-1e308,0,1,1e308)) agg ifn(1,1)",
+        ],
+    )
+    def test_overflow_anywhere_is_an_error(self, capsys, expression):
+        assert run(capsys, "eval", expression) == (
+            2, "", "error: the result trfn(-inf,0.0,1.0,inf) has a non-finite parameter\n"
+        )
+
     def test_long_prefix_chain(self, capsys):
         code, out, _ = run(capsys, "eval", "!" * 3000 + "ifn(0,1)")
         assert code == 0 and out.startswith("ifn(0.0,1.0)")
@@ -427,6 +450,29 @@ class TestOracleCommand:
         # not the seed alone, nor "closure exceeded -5 values"
         code, out, err = run(capsys, "oracle", "closure", "ifn(0.5,1)", *option)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{path}", "--max-iter", "0"], "argument --max-iter: must be at least 1"),
+        (["solve", "{path}", "--max-iter", "-3"], "argument --max-iter: must be at least 1"),
+        (["solve", "{path}", "--tol", "-1"], "argument --tol: must be finite and non-negative"),
+        (["solve", "{path}", "--tol", "nan"], "argument --tol: must be finite and non-negative"),
+        (["solve", "{path}", "--tol", "inf"], "argument --tol: must be finite and non-negative"),
+        (["eval", "ifn(0,1)", "--tol=-inf"], "argument --tol: must be finite and non-negative"),
+        (["order", "ifn(0,1)", "ifn(0,1)", "--tol", "nan"],
+         "argument --tol: must be finite and non-negative"),
+    ],
+)
+def test_out_of_range_options_exit_two_naming_the_argument(capsys, tmp_path, argv, message):
+    path = tmp_path / "loop.fasp"
+    path.write_text("a <- a. [ifn(0.5,1)]\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 class TestParserFuzz:

@@ -3,7 +3,7 @@ import struct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from fuzzyasp import (
     FALSE,
@@ -11,11 +11,13 @@ from fuzzyasp import (
     TRUE,
     UNKNOWN,
     AggregationTie,
+    OrderViolation,
     conj,
     disj,
     equal,
     ifn,
     kagg,
+    make,
     naf,
     negate,
     tfn,
@@ -30,19 +32,29 @@ from fuzzyasp.oracle import _key
 from conftest import any_values, approx_params, restricted_values
 
 core_params = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)
+HUGE = 1.7976931348623157e308  # the largest finite float
 
 
 @st.composite
 def edge_values(draw) -> FuzzyTruth:
-    """Values as the connectives can produce them, edge cases included.
-
-    Ordered, with the core in [0, 1]: signed zeros, 1.0, subnormals,
-    supports reaching past [0, 1] up to +-inf, and a nan outer parameter.
-    """
+    """Valid values with edge cases: signed zeros, 1.0 and subnormals in
+    the core, and supports reaching past [0, 1] up to the largest finite
+    float, so that products of two of them can overflow."""
     b, c = sorted(draw(st.tuples(core_params, core_params)))
-    a = draw(st.sampled_from([b, 0.0, -0.0, -math.inf, math.nan]) | st.floats(max_value=b))
-    d = draw(st.sampled_from([c, 1.0, math.inf, math.nan]) | st.floats(min_value=c))
-    return FuzzyTruth(a, b, c, d)
+    a = draw(
+        st.sampled_from([b, 0.0, -0.0, -1e300, -HUGE])
+        | st.floats(max_value=b, allow_infinity=False)
+    )
+    d = draw(
+        st.sampled_from([c, 1.0, 1e300, HUGE])
+        | st.floats(min_value=c, allow_infinity=False)
+    )
+    return make(a, b, c, d)
+
+
+def overflows(params) -> bool:
+    """An outer parameter of a general product is inf or nan."""
+    return not (math.isfinite(params[0]) and math.isfinite(params[3]))
 
 
 def bits(params) -> bytes:
@@ -146,10 +158,22 @@ class TestConj:
     def test_associative_restricted(self, x, y, z):
         assert equal(conj(conj(x, y), z), conj(x, conj(y, z)), 1e-9)
 
+    @settings(max_examples=500)
     @given(edge_values(), edge_values())
     @example(tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1))
+    @example(trfn(-1e308, 0, 1, 1e308), trfn(-1e308, 0, 1, 1e308))
+    @example(trfn(-HUGE, 0, 0, 0), trfn(-HUGE, 1, 1, 1))
     def test_bit_identical_to_the_general_product(self, x, y):
-        assert bits(conj(x, y)) == bits(_product(*x, *y))
+        # the rule: OrderViolation exactly where the general product
+        # overflows, and otherwise a value that make accepts
+        expected = _product(*x, *y)
+        if overflows(expected):
+            with pytest.raises(OrderViolation, match="non-finite parameter"):
+                conj(x, y)
+        else:
+            v = conj(x, y)
+            assert bits(v) == bits(expected)
+            assert make(*v) == v
 
 
 class TestDisj:
@@ -163,10 +187,19 @@ class TestDisj:
     def test_annihilator(self):
         assert equal(disj(TRUE, tfn(0.2, 0.4, 0.9)), TRUE, 1e-12)
 
+    @settings(max_examples=500)
     @given(edge_values(), edge_values())
     @example(tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1))
+    @example(trfn(-1e308, 0, 1, 1e308), trfn(-1e308, 0, 1, 1e308))
+    @example(trfn(-HUGE, 0, 0, 0), trfn(-HUGE, 1, 1, 1))
     def test_bit_identical_to_the_composed_dual(self, x, y):
-        assert bits(disj(x, y)) == bits(negate(conj(negate(x), negate(y))))
+        if overflows(_product(*negate(x), *negate(y))):
+            with pytest.raises(OrderViolation, match="non-finite parameter"):
+                disj(x, y)
+        else:
+            v = disj(x, y)
+            assert bits(v) == bits(negate(conj(negate(x), negate(y))))
+            assert make(*v) == v
 
     @given(any_values(), any_values())
     def test_de_morgan_both_ways(self, x, y):

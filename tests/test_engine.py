@@ -19,6 +19,7 @@ from fuzzyasp import (
     Interpretation,
     MonotonicityError,
     Naf,
+    OrderViolation,
     conj,
     disj,
     equal,
@@ -55,7 +56,7 @@ def jacobi(gp, frozen: dict) -> Interpretation | None:
 
     "Moves" means by more than the solver's tolerance.  ``frozen`` gives
     the value of every naf item.  None when 5000 passes do not settle;
-    raises AggregationTie.
+    raises AggregationTie, and OrderViolation when a product overflows.
     """
     current = dict.fromkeys(gp.literals, UNKNOWN)
     by_head: dict = {}  # head -> its rules in program order, from gp.rules alone
@@ -102,8 +103,9 @@ def reference_model(gp) -> Interpretation | None:
 
     naf starts frozen at its value on all-unknown and is re-frozen at the
     model just found until it settles: one more stratum is final per round.
-    None when the passes do not settle or an aggregation ties, which may be
-    on a state the iteration only passes through.
+    None when the passes do not settle, which includes a product that
+    overflows, or an aggregation ties, which may be on a state the
+    iteration only passes through.
     """
     under_naf = {b for rule in gp.rules for b in rule.naf_body}
     frozen = dict.fromkeys(under_naf, naf(UNKNOWN))
@@ -116,7 +118,7 @@ def reference_model(gp) -> Interpretation | None:
             if settled == frozen:
                 return model
             frozen = settled
-    except AggregationTie:
+    except (AggregationTie, OrderViolation):
         return None
     raise AssertionError("naf values did not settle on a stratified program")
 

@@ -13,6 +13,7 @@ from fuzzyasp import (
     UNKNOWN,
     AggregationTie,
     ClosureTooLarge,
+    OrderViolation,
     conj,
     density,
     disj,
@@ -161,17 +162,21 @@ class TestClosure:
         assert len(closure_enumerate([TRUE, UNKNOWN], 3)) == 3
         assert len(calls) == 2 + 3
 
-    def test_finite_values_are_never_aggregated(self, monkeypatch):
-        def no_kagg(x, y):
-            raise AssertionError("kagg on finite operands")
-
-        monkeypatch.setattr(oracle, "kagg", no_kagg)
-        closure_enumerate([TRUE, UNKNOWN, ifn(0.6, 0.6)], 3)
+    def test_overflowing_products_leave_only_distinct_finite_values(self):
+        # nan never equals itself, so a nan parameter would defeat _key
+        seeds = [
+            trfn(-1e200, -0.0, 0.23971710407934088, 1e308),
+            tfn(0.04092567671562876, 0.1, 0.41669566917644174),
+        ]
+        closure = closure_enumerate(seeds, 3)
+        assert all(make(*v) == v for v in closure)
+        assert len({_key(v) for v in closure}) == len(closure)
 
 
 def full_closure_loop(weights, depth, cap):
     """The closure loop before it skipped work, kept as the reference:
-    every level applies all five connectives to every value and pair."""
+    every level applies all five connectives to every value and pair, and
+    skips a conj or disj that overflows as it skips an aggregation tie."""
     values = {}
     for w in weights:
         values.setdefault(_key(w), w)
@@ -183,11 +188,12 @@ def full_closure_loop(weights, depth, cap):
                 if values.setdefault(_key(produced), produced) is produced:
                     added = True
         for v, w in itertools.product(current, current):
-            produced = [conj(v, w), disj(v, w)]
-            try:
-                produced.append(kagg(v, w))
-            except AggregationTie:
-                pass
+            produced = []
+            for op in (conj, disj, kagg):
+                try:
+                    produced.append(op(v, w))
+                except (OrderViolation, AggregationTie):
+                    pass
             for p in produced:
                 if values.setdefault(_key(p), p) is p:
                     added = True
@@ -204,8 +210,7 @@ seed_core = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
 @st.composite
 def seed_values(draw):
     """Valid seeds: signed zeros, 1.0, truncated supports, and outer
-    parameters up to 1e300, whose products overflow to inf and then meet
-    a zero as nan."""
+    parameters up to 1e300, whose products overflow."""
     b, c = sorted(draw(st.tuples(seed_core, seed_core)))
     a = draw(st.sampled_from([b, 0.0, -0.0, -1.0, -1e300]) | st.floats(-1e300, b))
     d = draw(st.sampled_from([c, 1.0, 2.0, 1e300]) | st.floats(c, 1e300))
@@ -233,8 +238,8 @@ def packed(values):
 @example(TUMOR_WEIGHTS, True, 3, 1000)
 def test_closure_matches_the_full_loop(seeds, with_crisp, depth, cap):
     # same values in the same order, bit for bit, or the same cap error;
-    # at depth 3 the 1e300 seeds reach nan parameters, which never match
-    # their own key, so kagg and both orders of a pair add values there
+    # the 1e300 seeds overflow at depth 2 or 3, where a pair may have a
+    # conj but no disj, or neither
     if with_crisp:
         seeds = [TRUE, UNKNOWN, *seeds]
     try:

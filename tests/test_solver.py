@@ -196,11 +196,10 @@ class TestKMinimalModel:
             kmin_supported_model(ground(parse("a <- not b.")))
 
     def test_uncertainty_never_increases_along_iteration(self, tumor_source):
-        gp = ground(parse(tumor_source))
-        trace = []
-        fix = kmin_supported_model(gp, trace=trace)
-        previous = {l: 1.0 for l in gp.literals}
-        for snapshot in trace:
+        report = solve(parse(tumor_source), collect_trace=True)
+        (fix,) = report.answer_sets
+        previous = {l: 1.0 for l in fix.table.literals}
+        for snapshot in report.trace:
             for literal, value in snapshot.items():
                 k = uncertainty_degree(value)
                 assert k <= previous[literal] + 1e-9
