@@ -24,6 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CoreOutOfRange, DomainError, OrderViolation, ParseError, UnsafeRule
@@ -149,15 +150,22 @@ LIT, NAF, VALUE = 0, 1, 2
 class LiteralTable:
     """Ground literals numbered by their position in ``literals``.
 
-    ``ids`` maps a literal to its number and ``complement[i]`` is the number
-    of literal i's complement, or -1 when the table does not hold it.
-    ``names`` renders each literal once, for output.
+    ``complement[i]`` is the number of literal i's complement, or -1 when
+    the table does not hold it; a ground program passes the complements it
+    found through its own literal keys, other callers let the table look
+    them up.  ``ids`` maps a literal to its number and ``names`` renders
+    each literal once, for output; both are built on first use.
     """
 
-    def __init__(self, literals):
+    def __init__(self, literals, complement=None):
         self.literals = tuple(literals)
-        self.ids = {literal: i for i, literal in enumerate(self.literals)}
-        self.complement = tuple(self.ids.get(l.complement(), -1) for l in self.literals)
+        if complement is None:
+            complement = tuple(self.ids.get(l.complement(), -1) for l in self.literals)
+        self.complement = complement
+
+    @cached_property
+    def ids(self) -> dict:
+        return {literal: i for i, literal in enumerate(self.literals)}
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -169,53 +177,143 @@ class Component(NamedTuple):
 
     heads: tuple
     cyclic: bool  # some head depends, directly or not, on a head in here
+    naf_inside: bool  # some head reads ``not`` of a head in here: a naf cycle
     plan: tuple  # per head: (head id, its rules, its complement's rules or ())
 
 
 class GroundProgram:
     """Variable-free program compiled to integer literal ids.
 
-    Every literal occurring in ``rules`` gets an id, its position in
-    ``literals`` (first-occurrence order, head before body); ``table`` holds
-    them with their complement ids.  ``compiled`` has one ``(head id, body,
-    weight)`` per rule in program order, the body a tuple of ``(kind,
-    payload)`` items (:data:`LIT`, :data:`NAF`, :data:`VALUE`);
-    ``rules_of[h]`` lists head h's rules as ``(body, weight)`` pairs in
-    program order, ``heads`` the head ids in first-occurrence order and
-    ``naf_ids`` the ids under ``not`` in first-occurrence order.  The
-    dependency condensations and their evaluation plans are built once, on
-    first use.  This form is the program's only interface: the solver
-    evaluates it over lists of values indexed by id, ``rules`` keeps the
-    source rules for the definitional checks and for error details, and
-    literals are rendered only for output, once each, through
-    ``table.names``.  The program is immutable.
+    Every ground literal gets an id, its position in ``literals``
+    (first-occurrence order, head before body); ``table`` holds them with
+    their complement ids.  ``compiled`` has one ``(head id, body, weight)``
+    per rule in program order, the body a tuple of ``(kind, payload)`` items
+    (:data:`LIT`, :data:`NAF`, :data:`VALUE`); ``rules_of[h]`` lists head
+    h's rules as ``(body, weight)`` pairs in program order, ``heads`` the
+    head ids in first-occurrence order and ``naf_ids`` the ids under
+    ``not`` in first-occurrence order.  The dependency condensations and
+    their evaluation plans are built once, on first use.  This form is the
+    program's only interface: the solver evaluates it over lists of values
+    indexed by id, and literals are rendered only for output, once each,
+    through ``table.names``.  The program is immutable.
+
+    ``GroundProgram(rules)`` compiles rules that are ground already (every
+    argument is a constant); :func:`ground` compiles the instances of rules
+    with variables through the same routine, without building them.
+    ``rules`` is a view, built on first use, for the definitional checks,
+    error details and ``parse-only``: the ground rules in program order,
+    each written as its instance, so a constant keeps the form it was
+    written in (``-0.0`` stays ``-0.0``) even where its literal's id was
+    first given to an equal literal written otherwise.
     """
 
     def __init__(self, rules=()):
-        self.rules = tuple(rules)
-        ids: dict[Literal, int] = {}
-        compiled = []
-        for rule in self.rules:
-            head = ids.setdefault(rule.head, len(ids))
-            body = []
-            for item in rule.body:
-                if isinstance(item, FuzzyTruth):
-                    body.append((VALUE, item))
-                elif isinstance(item, Naf):
-                    body.append((NAF, ids.setdefault(item.literal, len(ids))))
+        self._compile(tuple(rules), None)
+
+    @classmethod
+    def _instances(cls, rules: tuple, universe: dict) -> GroundProgram:
+        """The program of every instance of ``rules`` over ``universe``."""
+        self = cls.__new__(cls)
+        self._compile(rules, universe)
+        return self
+
+    def _compile(self, rules: tuple, universe: dict | None):
+        """Give every ground literal its id and compile each rule instance.
+
+        Without a ``universe`` every argument is a constant and each rule is
+        one instance.  With one (term -> index, in first-occurrence order)
+        each rule has an instance per binding of its variables (sorted by
+        name) to the universe's terms, in :func:`itertools.product` order.
+        Where each variable and constant of a rule sits is worked out once
+        per rule; each ground literal is then looked up under the key
+        ``(predicate, negated, indices of its arguments)``, which hashes
+        without calling back into Python, and its Literal is built only the
+        first time its key turns up.
+        """
+        constants: dict = {} if universe is None else universe
+        terms = tuple(constants)
+        ids: dict = {}
+        literals: list = []
+        compiled: list = []
+        templates: list = []
+        for rule in rules:
+            variables = () if universe is None else _rule_variables(rule)
+            slot = {name: i for i, name in enumerate(variables)}
+            k = len(variables)
+            const_ids: list = []
+            const_terms: list = []
+            # per item: (kind, literal or value, key when it has no variable,
+            # picker of its arguments out of a binding followed by the constants)
+            specs = []
+            for kind, x in _items(rule):
+                if kind == VALUE:
+                    specs.append((kind, x, None, None))
+                    continue
+                positions, args = [], []
+                for t in x.atom.args:
+                    if k and isinstance(t, Var):
+                        positions.append(slot[t.name])
+                    else:
+                        positions.append(k + len(const_ids))
+                        args.append(constants.setdefault(t, len(constants)))
+                        const_ids.append(args[-1])
+                        const_terms.append(t)
+                if len(args) == len(positions):  # no variable: one key for every binding
+                    specs.append((kind, x, (x.atom.predicate, x.negated, tuple(args)), None))
                 else:
-                    body.append((LIT, ids.setdefault(item, len(ids))))
-            compiled.append((head, tuple(body), rule.weight))
-        self.table = LiteralTable(ids)
+                    specs.append((kind, x, None, _picker(positions)))
+            const_ids, const_terms = tuple(const_ids), tuple(const_terms)
+            templates.append((rule, k, specs, const_terms))
+            weight = rule.weight
+            for combo in itertools.product(range(len(terms)), repeat=k):
+                at = combo + const_ids
+                instance = None  # the binding's terms, once a new literal needs them
+                items = []
+                for kind, x, key, pick in specs:
+                    if kind != VALUE:
+                        if pick is not None:
+                            key = (x.atom.predicate, x.negated, pick(at))
+                        i = ids.get(key)
+                        if i is None:
+                            i = ids[key] = len(literals)
+                            if pick is not None and instance is None:
+                                instance = tuple(terms[j] for j in combo) + const_terms
+                            literals.append(_instance(x, pick, instance))
+                        x = i
+                    items.append((kind, x))
+                compiled.append((items[0][1], tuple(items[1:]), weight))
+        self._templates, self._terms = tuple(templates), terms
+        self.table = LiteralTable(
+            literals, tuple(ids.get((p, not n, a), -1) for p, n, a in ids)
+        )
         self.compiled = tuple(compiled)
         rules_of: dict[int, list] = {}
         for head, body, weight in compiled:
             rules_of.setdefault(head, []).append((body, weight))
         self.heads = tuple(rules_of)
-        self.rules_of = tuple(tuple(rules_of.get(i, ())) for i in range(len(ids)))
+        self.rules_of = tuple(tuple(rules_of.get(i, ())) for i in range(len(literals)))
         self.naf_ids = tuple(
             dict.fromkeys(x for _, body, _ in compiled for kind, x in body if kind == NAF)
         )
+
+    @cached_property
+    def rules(self) -> tuple:
+        """The ground rules in program order; a rule without variables is itself."""
+        rules = []
+        for rule, k, specs, const_terms in self._templates:
+            if not k:
+                rules.append(rule)
+                continue
+            for combo in itertools.product(self._terms, repeat=k):
+                instance = combo + const_terms
+                head, *body = (
+                    x if kind == VALUE
+                    else Naf(_instance(x, pick, instance)) if kind == NAF
+                    else _instance(x, pick, instance)
+                    for kind, x, _, pick in specs
+                )
+                rules.append(Rule(head, tuple(body), rule.weight, rule.label))
+        return tuple(rules)
 
     @property
     def literals(self) -> tuple:
@@ -261,13 +359,37 @@ class GroundProgram:
             if comp >= 0 and is_head[comp]:
                 out.setdefault(comp)
             deps[head] = tuple(out)
-        return tuple(
-            Component(members, cyclic, tuple(
+        components = []
+        where = [-1] * len(rules_of)
+        for n, (members, cyclic) in enumerate(_strongly_connected(deps)):
+            for h in members:
+                where[h] = n
+            naf_inside = naf_edges and cyclic and self.has_naf and any(
+                kind == NAF and where[x] == n
+                for h in members
+                for body, _ in rules_of[h]
+                for kind, x in body
+            )
+            components.append(Component(members, cyclic, naf_inside, tuple(
                 (h, rules_of[h], rules_of[complement[h]] if complement[h] >= 0 else ())
                 for h in members
-            ))
-            for members, cyclic in _strongly_connected(deps)
-        )
+            )))
+        return tuple(components)
+
+
+def _picker(positions: list):
+    """A function taking the entries at ``positions`` out of a tuple, as a tuple."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda at: (at[p],)
+    return itemgetter(*positions)
+
+
+def _instance(literal: Literal, pick, terms: tuple) -> Literal:
+    """``literal`` with the arguments ``pick(terms)``, or itself when ``pick`` is None."""
+    if pick is None:
+        return literal
+    return Literal(Atom(literal.atom.predicate, pick(terms)), literal.negated)
 
 
 def _strongly_connected(deps: dict) -> list[tuple[tuple, bool]]:
@@ -534,6 +656,18 @@ def parse_value(text: str) -> FuzzyTruth:
 # --------------------------------------------------------------------------
 
 
+def _items(rule: Rule):
+    """(kind, literal or value) of the head, then of each body item in order."""
+    yield LIT, rule.head
+    for item in rule.body:
+        if isinstance(item, FuzzyTruth):
+            yield VALUE, item
+        elif isinstance(item, Naf):
+            yield NAF, item.literal
+        else:
+            yield LIT, item
+
+
 def _rule_literals(rule: Rule):
     yield rule.head
     for item in rule.body:
@@ -545,6 +679,12 @@ def _rule_literals(rule: Rule):
 
 def _variables(literal: Literal) -> set[str]:
     return {t.name for t in literal.atom.args if isinstance(t, Var)}
+
+
+def _rule_variables(rule: Rule) -> list[str]:
+    return sorted(
+        {t.name for lit in _rule_literals(rule) for t in lit.atom.args if isinstance(t, Var)}
+    )
 
 
 def _check_safety(rule: Rule):
@@ -559,47 +699,22 @@ def _check_safety(rule: Rule):
         raise UnsafeRule(var, rule)
 
 
-def _substitute_literal(literal: Literal, binding: dict) -> Literal:
-    args = tuple(
-        binding[t.name] if isinstance(t, Var) else t for t in literal.atom.args
-    )
-    return Literal(Atom(literal.atom.predicate, args), literal.negated)
-
-
-def _substitute(rule: Rule, binding: dict) -> Rule:
-    body = tuple(
-        item
-        if isinstance(item, FuzzyTruth)
-        else Naf(_substitute_literal(item.literal, binding))
-        if isinstance(item, Naf)
-        else _substitute_literal(item, binding)
-        for item in rule.body
-    )
-    return Rule(_substitute_literal(rule.head, binding), body, rule.weight, rule.label)
-
-
 def ground(program: Program) -> GroundProgram:
     """Herbrand grounding over the program's constants.
 
-    Raises UnsafeRule when a head or naf variable has no positive body
-    occurrence.  Propositional programs ground to themselves.
+    The universe is every constant and fuzzy constant in an argument
+    position, in first-occurrence order; a rule with variables has one
+    instance per binding of them to the universe.  The instances are
+    compiled straight into literal ids (see :class:`GroundProgram`), not
+    built as rules.  Raises UnsafeRule when a head or naf variable has no
+    positive body occurrence.  Propositional programs ground to themselves.
     """
     universe: dict = {}
     for rule in program.rules:
         for literal in _rule_literals(rule):
             for term in literal.atom.args:
                 if not isinstance(term, Var):
-                    universe.setdefault(term)
-    constants = tuple(universe)
-
-    ground_rules: list[Rule] = []
+                    universe.setdefault(term, len(universe))
     for rule in program.rules:
         _check_safety(rule)
-        variables = sorted({v for lit in _rule_literals(rule) for v in _variables(lit)})
-        if not variables:
-            ground_rules.append(rule)
-            continue
-        for combo in itertools.product(constants, repeat=len(variables)):
-            ground_rules.append(_substitute(rule, dict(zip(variables, combo))))
-
-    return GroundProgram(ground_rules)
+    return GroundProgram._instances(program.rules, universe)

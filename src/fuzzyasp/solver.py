@@ -258,6 +258,7 @@ def reduct(gp: GroundProgram, i: Interpretation) -> GroundProgram:
 
     The solver itself never builds reducts: it evaluates ``gp`` with the
     frozen naf values passed alongside (see :func:`kmin_supported_model`).
+    The result is compiled from the rules of the ``gp.rules`` view.
     """
     rules = tuple(
         Rule(
@@ -283,7 +284,7 @@ def _fixpoint(
     evolving: bool = False,
     trace: list | None = None,
     report: SolveReport | None = None,
-) -> Interpretation:
+) -> tuple[Interpretation, bool]:
     """Fixpoint of the supported-value operator, one component at a time.
 
     Components come dependencies first, so every literal a component reads
@@ -307,12 +308,21 @@ def _fixpoint(
     a contradictory atom raises Inconsistent.  An aggregation tie raises
     Inconsistent in both modes.
 
+    Returns the fixpoint and whether no round of a cyclic component without
+    a naf cycle inside raised a head's uncertainty.  Frozen mode raises
+    there, so it always returns True; the evolving trajectory only records
+    it.  Where it holds, the trajectory of a program whose naf edges lie on
+    no cycle is exactly the frozen fixpoint at its own naf values: the same
+    components, rounds and bits, and every check of frozen mode passes (a
+    contradictory atom shows in the whole interpretation as well).
+
     Every literal of ``gp``, naf-only ones included, starts unknown, so all
     fixpoints of one program list the same literals.
     """
     literals = gp.literals
     values = [UNKNOWN] * len(literals)
-    for heads, cyclic, plan in gp.components if evolving else gp.frozen_components:
+    monotone = True
+    for heads, cyclic, naf_inside, plan in gp.components if evolving else gp.frozen_components:
         # states of a cyclic trajectory so far; every head starts unknown
         seen = {UNKNOWN * len(heads)} if evolving and cyclic else None
         for rounds in range(1, (max_iter if cyclic else 1) + 1):
@@ -339,6 +349,11 @@ def _fixpoint(
                         raise MonotonicityError(
                             f"uncertainty increased at {literals[head]}: {old} -> {value}"
                         )
+            elif monotone and not naf_inside:
+                monotone = all(
+                    uncertainty_degree(value) <= uncertainty_degree(old) + eps
+                    for old, value in zip(previous, new)
+                )
             if all(equal(old, value, eps) for old, value in zip(previous, new)):
                 break
             if seen is not None:
@@ -352,7 +367,7 @@ def _fixpoint(
             atom = _contradiction(gp.table, values, heads, eps)
             if atom is not None:
                 raise Inconsistent(atom)
-    return Interpretation.of(gp.table, values)
+    return Interpretation.of(gp.table, values), monotone
 
 
 def kmin_supported_model(
@@ -378,7 +393,7 @@ def kmin_supported_model(
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
-    return _fixpoint(gp, eps, max_iter, naf_values=naf_values)
+    return _fixpoint(gp, eps, max_iter, naf_values=naf_values)[0]
 
 
 def _override(gp: GroundProgram, frozen) -> list:
@@ -434,8 +449,11 @@ def verify_answer_set(
     Answer set iff the candidate is a consistent supported model and equals
     the fixpoint of its own reduct; otherwise the specific failure.  When
     :func:`solve` computed the candidate itself as the fixpoint of ``gp``
-    frozen at the very naf values its reduct freezes, that fixpoint is the
-    candidate and is not computed again; every check still runs.
+    frozen at the very naf values its reduct freezes (a positive program's
+    fixpoint, a guess fixpoint, or the trajectory of a program without a
+    naf cycle), that fixpoint is the candidate and is not computed again;
+    every check still runs.  A failed rule is reported from the
+    ``gp.rules`` view.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
@@ -475,16 +493,7 @@ def _has_naf_cycle(gp: GroundProgram) -> bool:
     :attr:`GroundProgram.components` (complement-coupled heads count as
     mutually dependent there).
     """
-    where = [-1] * len(gp.literals)
-    for n, component in enumerate(gp.components):
-        for head in component.heads:
-            where[head] = n
-    return any(
-        where[b] == where[head]
-        for head, body, _ in gp.compiled
-        for kind, b in body
-        if kind == NAF
-    )
+    return any(component.naf_inside for component in gp.components)
 
 
 def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
@@ -551,34 +560,39 @@ def solve(
     frozen, in the finer order where naf is no dependency.
 
     Each candidate remembers the naf values it was computed from: none for
-    a positive program's fixpoint, its guess for a guess fixpoint.  The
-    verification of a candidate whose own naf values are those bits reuses
-    it instead of computing the same fixpoint again.  This holds within one
-    call only; the candidates it returns remember nothing.
+    a positive program's fixpoint, its guess for a guess fixpoint, and its
+    own naf values for the trajectory of a program with naf but no naf
+    cycle, unless a round of one of its cyclic components raised a head's
+    uncertainty (the frozen fixpoint would raise MonotonicityError there).
+    The verification of a candidate whose own naf values are those bits
+    reuses it instead of computing the same fixpoint again.  This holds
+    within one call only; the candidates it returns remember nothing.
     """
     gp = ground(program) if isinstance(program, Program) else program
     trace = [] if collect_trace else None
     report = SolveReport(trace=trace)
+    naf_cycle = gp.has_naf and _has_naf_cycle(gp)
 
     candidates: list[Interpretation] = []
 
     def add_candidate(candidate: Interpretation, frozen: tuple | None):
         """Keep a new candidate: the fixpoint of ``gp`` frozen at the naf
-        values ``frozen``, or of the evolving trajectory when it is None."""
+        values ``frozen``, or None when it is not known to be one."""
         if not any(interpretations_equal(candidate, c, eps) for c in candidates):
             candidate._frozen_at = frozen
             candidates.append(candidate)
 
     try:
-        add_candidate(
-            _fixpoint(gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report),
-            None if gp.has_naf else (),
+        fix, monotone = _fixpoint(
+            gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report
         )
+        own = tuple(naf(fix.values[b]) for b in gp.naf_ids) if monotone and not naf_cycle else None
+        add_candidate(fix, own)
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
     except NonConvergent:
         report.candidates.append(CandidateResult(None, Status.NON_CONVERGENT, None))
-    if gp.has_naf and _has_naf_cycle(gp):
+    if naf_cycle:
         _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max_guesses)
 
     for candidate in candidates:

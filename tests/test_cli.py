@@ -68,6 +68,19 @@ class TestSolveCommand:
         assert "candidates: non-convergent\n" in out
         assert caplog.records == []
 
+    def test_stratified_trajectory_that_gains_uncertainty_is_verified_again(self, capsys):
+        # The positive part's cyclic component raises p2's uncertainty in a
+        # round.  The trajectory only notes it, so the candidate is not
+        # reused: verification computes the frozen fixpoint, which raises.
+        root = pathlib.Path(__file__).resolve().parent
+        path = root / "fixtures" / "non_monotone_stratified.fasp"
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: uncertainty increased at p2: "
+            "ifn(0.0,0.75) -> trfn(0.0,0.0,0.75,0.8999999999999999)\n"
+        )
+
     def test_unsafe_rule_exit_two(self, capsys, tmp_path):
         path = tmp_path / "unsafe.fasp"
         path.write_text("p(X) <- not q(X).\n")
@@ -244,6 +257,16 @@ class TestParseOnly:
         path2.write_text(out)
         code2, out2, _ = run(capsys, "parse-only", str(path2))
         assert code2 == 0 and out2 == out
+
+    @pytest.mark.parametrize("program", ["programs/flying.fasp", "tests/fixtures/fuzzy_args.fasp"])
+    def test_output_matches_golden_file(self, capsys, program):
+        # pins the ground rule order and every rendered rule, byte for byte:
+        # a constant keeps its own spelling (tfn(0.0,...) beside tfn(-0.0,...))
+        root = pathlib.Path(__file__).resolve().parent.parent
+        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_parse_only.txt"
+        code, out, _ = run(capsys, "parse-only", str(root / program))
+        assert code == 0
+        assert out == golden.read_text()
 
 
 class TestEval:

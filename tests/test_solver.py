@@ -363,6 +363,35 @@ class TestSolve:
         assert len(report.answer_sets) == 2
         assert calls and not any(calls)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            (FIXTURES.parent.parent / "programs" / "flying.fasp").read_text(),
+            # the shape of the benchmark's closure programs
+            "node(v0). node(v1). node(v2).\n"
+            "edge(v0,v1). edge(v1,v2). edge(v2,v0). blocked(v1,v0).\n"
+            "path(X,Y) <- edge(X,Y).\n"
+            "path(X,Y) <- edge(X,Z), path(Z,Y). [ifn(0.9,1)]\n"
+            "reach(X,Y) <- path(X,Y), not blocked(X,Y). [ifn(0.8,1)]\n",
+        ],
+        ids=["flying", "closure"],
+    )
+    def test_stratified_verification_reuses_the_trajectory(self, monkeypatch, source):
+        # without a naf cycle the trajectory is the frozen fixpoint at its
+        # own naf values, so verifying it needs no second fixpoint
+        expected = solve(parse(source))
+        (model,) = expected.answer_sets
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kmin_supported_model called")
+
+        monkeypatch.setattr(solver, "kmin_supported_model", refuse)
+        report = solve(parse(source))
+        assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+        (again,) = report.answer_sets
+        assert again.table.literals == model.table.literals
+        assert again.values == model.values
+
     def test_returned_answer_sets_vouch_for_nothing(self):
         # a <- a. is supported by any value of a; only unknown is k-minimal
         gp = ground(parse("a <- a."))
