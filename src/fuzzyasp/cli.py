@@ -73,9 +73,9 @@ class _EvalParser(_Parser):
     def _unary(self) -> FuzzyTruth:
         # a prefix chain is read in a loop and applied innermost first
         prefixes = []
-        while self.cur.text in ("!", "not"):
-            prefixes.append(negate if self._advance().text == "!" else naf)
-        if self.cur.text == "(":
+        while self.text in ("!", "not"):
+            prefixes.append(negate if self._advance()[1] == "!" else naf)
+        if self.text == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 self._error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
             self._advance()

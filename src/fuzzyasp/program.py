@@ -15,7 +15,13 @@ ifn(1,1); an empty body is the fold unit ifn(1,1).  Fuzzy numbers may occur
 as body items (inline evidence) and as inert constants in argument
 positions.  The same tokenizer and ``fuzzy`` production read single values
 (:func:`parse_value`) and the CLI's connective expressions, so every text
-input reports errors with a line and column.
+input reports errors with a line and column.  A token is a plain
+``(kind, text, offset)`` tuple; its line and column are worked out from the
+offset only when an error is raised at it.
+
+Grounding has one entry point, :class:`GroundProgram`, which checks safety,
+collects the universe and compiles every rule instance into literal ids;
+:func:`ground` applies it to a parsed program.
 """
 
 from __future__ import annotations
@@ -177,7 +183,13 @@ class Component(NamedTuple):
 
     heads: tuple
     cyclic: bool  # some head depends, directly or not, on a head in here
-    naf_inside: bool  # some head reads ``not`` of a head in here: a naf cycle
+    # some head reads ``not`` of a head in here: a naf cycle.  A naf edge lies
+    # on a dependency cycle exactly when both its ends share a component
+    # (complement-coupled heads count as mutually dependent).  Without such
+    # a component the program is stratified: its naf values are determined
+    # bottom-up, and the operator trajectory's fixpoint is its only
+    # answer-set candidate, so no naf values need guessing.
+    naf_inside: bool
     plan: tuple  # per head: (head id, its rules, its complement's rules or ())
 
 
@@ -197,32 +209,36 @@ class GroundProgram:
     indexed by id, and literals are rendered only for output, once each,
     through ``table.names``.  The program is immutable.
 
-    ``GroundProgram(rules)`` compiles rules that are ground already (every
-    argument is a constant); :func:`ground` compiles the instances of rules
-    with variables through the same routine, without building them.
-    ``rules`` is a view, built on first use, for the definitional checks,
-    error details and ``parse-only``: the ground rules in program order,
-    each written as its instance, so a constant keeps the form it was
-    written in (``-0.0`` stays ``-0.0``) even where its literal's id was
+    ``GroundProgram(rules)`` is Herbrand grounding: it raises UnsafeRule
+    when a head or naf variable has no positive body occurrence, collects
+    the universe, every constant and fuzzy constant in an argument position
+    in first-occurrence order, and compiles each instance of each rule (one
+    per binding of its variables to the universe) straight into literal
+    ids, without building it.  A rule without variables is one instance of
+    itself.  ``rules`` is a view, built on first use, for the definitional
+    checks, error details and ``parse-only``: the ground rules in program
+    order, each written as its instance, so a constant keeps the form it
+    was written in (``-0.0`` stays ``-0.0``) even where its literal's id was
     first given to an equal literal written otherwise.
     """
 
     def __init__(self, rules=()):
-        self._compile(tuple(rules), None)
-
-    @classmethod
-    def _instances(cls, rules: tuple, universe: dict) -> GroundProgram:
-        """The program of every instance of ``rules`` over ``universe``."""
-        self = cls.__new__(cls)
+        rules = tuple(rules)
+        universe: dict = {}
+        for rule in rules:
+            for literal in _rule_literals(rule):
+                for term in literal.atom.args:
+                    if not isinstance(term, Var):
+                        universe.setdefault(term, len(universe))
+        for rule in rules:
+            _check_safety(rule)
         self._compile(rules, universe)
-        return self
 
-    def _compile(self, rules: tuple, universe: dict | None):
+    def _compile(self, rules: tuple, universe: dict):
         """Give every ground literal its id and compile each rule instance.
 
-        Without a ``universe`` every argument is a constant and each rule is
-        one instance.  With one (term -> index, in first-occurrence order)
-        each rule has an instance per binding of its variables (sorted by
+        ``universe`` maps each term to its index, in first-occurrence order.
+        Each rule has an instance per binding of its variables (sorted by
         name) to the universe's terms, in :func:`itertools.product` order.
         Where each variable and constant of a rule sits is worked out once
         per rule; each ground literal is then looked up under the key
@@ -230,14 +246,13 @@ class GroundProgram:
         without calling back into Python, and its Literal is built only the
         first time its key turns up.
         """
-        constants: dict = {} if universe is None else universe
-        terms = tuple(constants)
+        terms = tuple(universe)
         ids: dict = {}
         literals: list = []
         compiled: list = []
         templates: list = []
         for rule in rules:
-            variables = () if universe is None else _rule_variables(rule)
+            variables = _rule_variables(rule)
             slot = {name: i for i, name in enumerate(variables)}
             k = len(variables)
             const_ids: list = []
@@ -251,11 +266,11 @@ class GroundProgram:
                     continue
                 positions, args = [], []
                 for t in x.atom.args:
-                    if k and isinstance(t, Var):
+                    if isinstance(t, Var):
                         positions.append(slot[t.name])
                     else:
                         positions.append(k + len(const_ids))
-                        args.append(constants.setdefault(t, len(constants)))
+                        args.append(universe[t])
                         const_ids.append(args[-1])
                         const_terms.append(t)
                 if len(args) == len(positions):  # no variable: one key for every binding
@@ -449,46 +464,37 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<comment>%[^\n]*)
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<arrow><-)
   | (?P<ident>[a-z]\w*)
   | (?P<var>[A-Z]\w*)
-  | (?P<punct>[().,\[\]:/!&|-])
+  | (?P<punct><-|[().,\[\]:/!&|-])
+  | (?P<bad>.)
 """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset`` in ``source``; lines end at ``\\n``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` per token, then ``("eof", "", len(source))``.
+
+    The kind of a number, identifier or variable is ``number``, ``ident`` or
+    ``var``; that of punctuation (``<-`` included) is its text.  Blanks and
+    comments are dropped; any other character is a ParseError.
+    """
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         text = m.group()
-        if kind not in ("ws", "comment"):
-            col = pos - line_start + 1
-            if kind == "punct" or kind == "arrow":
-                kind = text
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", *_position(source, m.start()))
+        tokens.append((text if kind == "punct" else kind, text, m.start()))
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 
@@ -500,37 +506,47 @@ _FUZZY_NAMES = {"ifn": (ifn, 2), "tfn": (tfn, 3), "trfn": (trfn, 4)}
 
 
 class _Parser:
+    """Recursive descent over the token tuples of :func:`_tokenize`.
+
+    ``kind`` and ``text`` are those of the current token.  A token carries
+    only its offset; its line and column are worked out (:func:`_position`)
+    when an error is raised at it.
+    """
+
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def _advance(self) -> _Token:
-        tok = self.cur
+    @property
+    def text(self) -> str:
+        return self.tokens[self.pos][1]
+
+    def _advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def _accept(self, text: str) -> bool:
         """Consume the current token when its text is ``text``."""
-        if self.cur.text == text:
+        if self.text == text:
             self.pos += 1
             return True
         return False
 
-    def _expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {self.cur.text!r}",
-                self.cur.line,
-                self.cur.column,
-            )
+    def _expect(self, kind: str) -> tuple[str, str, int]:
+        if self.kind != kind:
+            self._error(f"expected {kind!r}, found {self.text!r}")
         return self._advance()
 
-    def _error(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.column)
+    def _error(self, message: str, tok=None):
+        """Raise a ParseError at ``tok``, by default the current token."""
+        offset = (tok or self.tokens[self.pos])[2]
+        raise ParseError(message, *_position(self.source, offset))
 
     def parse_all(self, read):
         """``read()`` over the whole input: nothing may follow what it reads."""
@@ -540,17 +556,14 @@ class _Parser:
 
     def parse_program(self) -> Program:
         rules = []
-        while self.cur.kind != "eof":
+        while self.kind != "eof":
             rules.append(self._rule())
         return Program(tuple(rules))
 
     def _rule(self) -> Rule:
         label = None
-        if (
-            self.cur.kind == "ident"
-            and self.tokens[self.pos + 1].kind == ":"
-        ):
-            label = self._advance().text
+        if self.kind == "ident" and self.tokens[self.pos + 1][0] == ":":
+            label = self._advance()[1]
             self._advance()
         head = self._literal()
         body: list = []
@@ -568,17 +581,17 @@ class _Parser:
     def _body_item(self):
         if self._accept("not"):
             return Naf(self._literal())
-        if self.cur.text in _FUZZY_NAMES:
+        if self.text in _FUZZY_NAMES:
             return self._fuzzy_value()
         return self._literal()
 
     def _literal(self) -> Literal:
         negated = self._accept("-")
-        if self.cur.kind != "ident":
-            self._error(f"expected a literal, found {self.cur.text!r}")
-        if self.cur.text in _FUZZY_NAMES:
-            self._error(f"{self.cur.text!r} is reserved for fuzzy literals")
-        name = self._advance().text
+        if self.kind != "ident":
+            self._error(f"expected a literal, found {self.text!r}")
+        if self.text in _FUZZY_NAMES:
+            self._error(f"{self.text!r} is reserved for fuzzy literals")
+        name = self._advance()[1]
         args: list = []
         if self._accept("("):
             args.append(self._term())
@@ -588,48 +601,42 @@ class _Parser:
         return Literal(Atom(name, tuple(args)), negated)
 
     def _term(self):
-        if self.cur.kind == "var":
-            return Var(self._advance().text)
-        if self.cur.kind == "ident":
-            if self.cur.text in _FUZZY_NAMES:
+        if self.kind == "var":
+            return Var(self._advance()[1])
+        if self.kind == "ident":
+            if self.text in _FUZZY_NAMES:
                 return self._fuzzy_value()
             tok = self._advance()
-            if self.cur.kind == "(":
-                raise ParseError(
-                    f"function symbol {tok.text!r} is not allowed", tok.line, tok.column
-                )
-            return Const(tok.text)
-        self._error(f"expected a term, found {self.cur.text!r}")
+            if self.kind == "(":
+                self._error(f"function symbol {tok[1]!r} is not allowed", tok)
+            return Const(tok[1])
+        self._error(f"expected a term, found {self.text!r}")
 
     def _fuzzy_value(self) -> FuzzyTruth:
-        if self.cur.text not in _FUZZY_NAMES:
-            self._error(f"expected ifn, tfn or trfn, found {self.cur.text!r}")
+        if self.text not in _FUZZY_NAMES:
+            self._error(f"expected ifn, tfn or trfn, found {self.text!r}")
         tok = self._advance()
-        ctor, arity = _FUZZY_NAMES[tok.text]
+        ctor, arity = _FUZZY_NAMES[tok[1]]
         self._expect("(")
         args = [self._number()]
         while self._accept(","):
             args.append(self._number())
         self._expect(")")
         if len(args) != arity:
-            raise ParseError(
-                f"{tok.text} takes {arity} parameters, got {len(args)}",
-                tok.line,
-                tok.column,
-            )
+            self._error(f"{tok[1]} takes {arity} parameters, got {len(args)}", tok)
         try:
             return ctor(*args)
         except (OrderViolation, CoreOutOfRange) as exc:
-            raise DomainError(str(exc), tok.line, tok.column) from exc
+            raise DomainError(str(exc), *_position(self.source, tok[2])) from exc
 
     def _number(self) -> float:
         sign = -1.0 if self._accept("-") else 1.0
-        value = sign * float(self._expect("number").text)
+        value = sign * float(self._expect("number")[1])
         if self._accept("/"):
             tok = self._expect("number")
-            divisor = float(tok.text)
+            divisor = float(tok[1])
             if divisor == 0.0:
-                raise ParseError("division by zero", tok.line, tok.column)
+                self._error("division by zero", tok)
             value /= divisor
         return value
 
@@ -700,21 +707,5 @@ def _check_safety(rule: Rule):
 
 
 def ground(program: Program) -> GroundProgram:
-    """Herbrand grounding over the program's constants.
-
-    The universe is every constant and fuzzy constant in an argument
-    position, in first-occurrence order; a rule with variables has one
-    instance per binding of them to the universe.  The instances are
-    compiled straight into literal ids (see :class:`GroundProgram`), not
-    built as rules.  Raises UnsafeRule when a head or naf variable has no
-    positive body occurrence.  Propositional programs ground to themselves.
-    """
-    universe: dict = {}
-    for rule in program.rules:
-        for literal in _rule_literals(rule):
-            for term in literal.atom.args:
-                if not isinstance(term, Var):
-                    universe.setdefault(term, len(universe))
-    for rule in program.rules:
-        _check_safety(rule)
-    return GroundProgram._instances(program.rules, universe)
+    """Herbrand grounding of ``program`` over its constants (see :class:`GroundProgram`)."""
+    return GroundProgram(program.rules)

@@ -483,19 +483,6 @@ def verify_answer_set(
     return CandidateResult(i, Status.ANSWER_SET)
 
 
-def _has_naf_cycle(gp: GroundProgram) -> bool:
-    """True when some dependency cycle passes through a naf edge.
-
-    Without such a cycle the program is stratified: naf values are uniquely
-    determined bottom-up and the operator trajectory's fixpoint is the only
-    answer-set candidate, so no guessing is needed.  A naf edge lies on a
-    cycle exactly when both its ends share a component of
-    :attr:`GroundProgram.components` (complement-coupled heads count as
-    mutually dependent there).
-    """
-    return any(component.naf_inside for component in gp.components)
-
-
 def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
     """Possible naf values: image of the weight closure under naf.
 
@@ -571,7 +558,7 @@ def solve(
     gp = ground(program) if isinstance(program, Program) else program
     trace = [] if collect_trace else None
     report = SolveReport(trace=trace)
-    naf_cycle = gp.has_naf and _has_naf_cycle(gp)
+    naf_cycle = any(c.naf_inside for c in gp.components)
 
     candidates: list[Interpretation] = []
 

@@ -5,17 +5,20 @@ from fuzzyasp import (
     Atom,
     DomainError,
     FuzzyTruth,
+    GroundProgram,
     Literal,
     Naf,
     ParseError,
+    Status,
     UnsafeRule,
     Var,
     ground,
     ifn,
     parse,
+    solve,
     tfn,
 )
-from fuzzyasp.program import LIT, NAF, VALUE
+from fuzzyasp.program import LIT, NAF, VALUE, Const
 
 
 def lit(name, *args, negated=False):
@@ -106,6 +109,14 @@ class TestParse:
             parse(f"a. [{text}]")
         assert (err.value.line, err.value.column) == (1, 5)
 
+    def test_prolog_neck_reads_as_a_label(self):
+        # ``a :- b.`` is label ``a`` on the fact ``-b``, not a rule for ``a``
+        (rule,) = parse("a :- b.").rules
+        assert (rule.label, rule.head, rule.body) == ("a", lit("b", negated=True), ())
+        assert parse("a :- b.").render() == "a: -b.\n"
+        report = solve(parse("b. a :- b."))
+        assert [c.status for c in report.candidates] == [Status.INCONSISTENT]
+
     def test_negative_parameters_in_fuzzy(self):
         prog = parse("a. [trfn(-2,0.3,0.9,3)]")
         assert prog.rules[0].weight == (-2, 0.3, 0.9, 3)
@@ -165,6 +176,19 @@ class TestGround:
                     assert item.literal in lits
                 elif not isinstance(item, FuzzyTruth):
                     assert item in lits
+
+    def test_ground_program_of_rules_with_variables_grounds_them(self):
+        program = parse("p(X) <- q(X). q(a).")
+        gp, grounded = GroundProgram(program.rules), ground(program)
+        assert gp.literals == grounded.literals == (lit("p", Const("a")), lit("q", Const("a")))
+        assert gp.compiled == grounded.compiled
+        assert gp.rules == grounded.rules
+        assert gp.components == grounded.components
+
+    def test_ground_program_rejects_an_unsafe_rule(self):
+        with pytest.raises(UnsafeRule) as err:
+            GroundProgram(parse("p(X) <- not q(X).").rules)
+        assert err.value.variable == "X"
 
     def test_grounding_with_fuzzy_constant_in_universe(self):
         gp = ground(parse("holds(ifn(0.5,0.5)). any(X) <- holds(X)."))
