@@ -185,10 +185,13 @@ class Component(NamedTuple):
     cyclic: bool  # some head depends, directly or not, on a head in here
     # some head reads ``not`` of a head in here: a naf cycle.  A naf edge lies
     # on a dependency cycle exactly when both its ends share a component
-    # (complement-coupled heads count as mutually dependent).  Without such
-    # a component the program is stratified: its naf values are determined
-    # bottom-up, and the operator trajectory's fixpoint is its only
-    # answer-set candidate, so no naf values need guessing.
+    # (complement-coupled heads count as mutually dependent).  This alone
+    # decides how the solver iterates the component: with it as an operator
+    # trajectory, without it as with naf frozen, since every naf value it
+    # reads is final.  Without such a component the program is stratified:
+    # its naf values are determined bottom-up, and its fixpoint is its only
+    # answer-set candidate, so no naf values need guessing.  Never set in
+    # ``frozen_components``, which have no naf edges.
     naf_inside: bool
     plan: tuple  # per head: (head id, its rules, its complement's rules or ())
 
@@ -591,6 +594,8 @@ class _Parser:
             self._error(f"expected a literal, found {self.text!r}")
         if self.text in _FUZZY_NAMES:
             self._error(f"{self.text!r} is reserved for fuzzy literals")
+        if self.text == "not":
+            self._error("'not' is reserved for negation as failure")
         name = self._advance()[1]
         args: list = []
         if self._accept("("):

@@ -55,7 +55,8 @@ class Interpretation:
 
     ``_frozen_at`` is set only by :func:`solve`, and only while it runs:
     the naf values (in ``gp.naf_ids`` order) of which these values are the
-    frozen fixpoint on the program being solved, so that
+    frozen fixpoint on the program being solved (a guess, or the program's
+    own naf values when it has no naf cycle), so that
     :func:`verify_answer_set` need not compute that fixpoint again.
     """
 
@@ -281,50 +282,47 @@ def _fixpoint(
     max_iter: int,
     *,
     naf_values: list | None = None,
-    evolving: bool = False,
     trace: list | None = None,
     report: SolveReport | None = None,
-) -> tuple[Interpretation, bool]:
+) -> Interpretation:
     """Fixpoint of the supported-value operator, one component at a time.
 
     Components come dependencies first, so every literal a component reads
-    from outside itself is already final when it is evaluated.  An acyclic
-    component is evaluated once; a cyclic one is iterated Jacobi-style over
-    its own heads until they are stable within ``eps``, for at most
-    ``max_iter`` rounds; it is NonConvergent past that.  Every evaluation
-    of a component is one round: it counts in ``report.iterations`` and
-    appends a copy of the whole interpretation, on ``gp``'s literal table,
-    to ``trace``.  A round whose products overflow (OrderViolation) is not
-    completed: the component, cyclic or not, is NonConvergent.
+    from outside itself is already final when it is evaluated.  Without
+    ``naf_values`` each naf item reads the current interpretation and the
+    order is ``gp.components``, in which naf is a dependency; with it naf
+    items take their value from that override list (indexed by literal id)
+    and the order is ``gp.frozen_components``, in which it is none.
 
-    With ``evolving`` each naf item reads the current interpretation, as in
-    the operator trajectory of a program with naf; a cyclic component that
-    revisits an earlier state is non-convergent.  Otherwise naf items take
-    their value from the override list ``naf_values`` (indexed by literal
-    id; ``gp.frozen_components`` order, in which naf is no dependency), no
-    round of a cyclic component may raise a head's uncertainty
-    (MonotonicityError; an acyclic one starts from unknown, the least
-    certain value, and has one round), and a component whose fixpoint holds
-    a contradictory atom raises Inconsistent.  An aggregation tie raises
-    Inconsistent in both modes.
+    An acyclic component is evaluated once; a cyclic one is iterated
+    Jacobi-style over its own heads until they are stable within ``eps``,
+    for at most ``max_iter`` rounds; it is NonConvergent past that.  Every
+    evaluation of a component is one round: it counts in
+    ``report.iterations`` and appends a copy of the whole interpretation,
+    on ``gp``'s literal table, to ``trace``.  A round whose products
+    overflow (OrderViolation) is not completed: the component, cyclic or
+    not, is NonConvergent.  An aggregation tie raises Inconsistent.
 
-    Returns the fixpoint and whether no round of a cyclic component without
-    a naf cycle inside raised a head's uncertainty.  Frozen mode raises
-    there, so it always returns True; the evolving trajectory only records
-    it.  Where it holds, the trajectory of a program whose naf edges lie on
-    no cycle is exactly the frozen fixpoint at its own naf values: the same
-    components, rounds and bits, and every check of frozen mode passes (a
-    contradictory atom shows in the whole interpretation as well).
+    A component's own naf cycle (``naf_inside``, never set when naf is
+    frozen) decides how it is iterated.  With one, its naf items move with
+    its heads, as in the operator trajectory of a program with naf, and a
+    state it revisits is non-convergent.  Every other component reads naf
+    values that are already final, so it is evaluated as a frozen one: no
+    round may raise a head's uncertainty (MonotonicityError; an acyclic one
+    starts from unknown, the least certain value, and has one round), and
+    a fixpoint holding a contradictory atom raises Inconsistent.  So the
+    fixpoint of a program without a naf cycle is the frozen fixpoint at its
+    own naf values, with the same rounds and bits.
 
     Every literal of ``gp``, naf-only ones included, starts unknown, so all
     fixpoints of one program list the same literals.
     """
     literals = gp.literals
     values = [UNKNOWN] * len(literals)
-    monotone = True
-    for heads, cyclic, naf_inside, plan in gp.components if evolving else gp.frozen_components:
-        # states of a cyclic trajectory so far; every head starts unknown
-        seen = {UNKNOWN * len(heads)} if evolving and cyclic else None
+    components = gp.components if naf_values is None else gp.frozen_components
+    for heads, cyclic, naf_inside, plan in components:
+        # states of a naf cycle's trajectory so far; every head starts unknown
+        seen = {UNKNOWN * len(heads)} if naf_inside else None
         for rounds in range(1, (max_iter if cyclic else 1) + 1):
             new = []
             for head, own, against in plan:
@@ -343,31 +341,26 @@ def _fixpoint(
                 trace.append(Interpretation.of(gp.table, list(values)))
             if not cyclic:
                 break  # its first round started from unknown: nothing to compare
-            if not evolving:
+            if not naf_inside:
                 for head, old, value in zip(heads, previous, new):
                     if uncertainty_degree(value) > uncertainty_degree(old) + eps:
                         raise MonotonicityError(
                             f"uncertainty increased at {literals[head]}: {old} -> {value}"
                         )
-            elif monotone and not naf_inside:
-                monotone = all(
-                    uncertainty_degree(value) <= uncertainty_degree(old) + eps
-                    for old, value in zip(previous, new)
-                )
             if all(equal(old, value, eps) for old, value in zip(previous, new)):
                 break
-            if seen is not None:
+            if naf_inside:
                 state = tuple(round(p, 12) for v in new for p in v)
                 if state in seen:
                     raise NonConvergent(rounds)
                 seen.add(state)
         else:
             raise NonConvergent(max_iter)
-        if not evolving:
+        if not naf_inside:
             atom = _contradiction(gp.table, values, heads, eps)
             if atom is not None:
                 raise Inconsistent(atom)
-    return Interpretation.of(gp.table, values), monotone
+    return Interpretation.of(gp.table, values)
 
 
 def kmin_supported_model(
@@ -393,7 +386,7 @@ def kmin_supported_model(
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
-    return _fixpoint(gp, eps, max_iter, naf_values=naf_values)[0]
+    return _fixpoint(gp, eps, max_iter, naf_values=naf_values)
 
 
 def _override(gp: GroundProgram, frozen) -> list:
@@ -424,10 +417,11 @@ class CandidateResult:
 class SolveReport:
     """What :func:`solve` found and did.
 
-    ``iterations`` counts the component evaluation rounds of the main
-    fixpoint (the operator trajectory when the program has naf), summed
-    over components; ``trace`` holds one :class:`Interpretation` per round,
-    each on the ground program's literal table.
+    ``iterations`` counts the component evaluation rounds of the first
+    fixpoint (naf items reading the current values, so an operator
+    trajectory in each component with a naf cycle), summed over
+    components; ``trace`` holds one :class:`Interpretation` per round, each
+    on the ground program's literal table.
     """
 
     answer_sets: list = field(default_factory=list)
@@ -449,9 +443,9 @@ def verify_answer_set(
     Answer set iff the candidate is a consistent supported model and equals
     the fixpoint of its own reduct; otherwise the specific failure.  When
     :func:`solve` computed the candidate itself as the fixpoint of ``gp``
-    frozen at the very naf values its reduct freezes (a positive program's
-    fixpoint, a guess fixpoint, or the trajectory of a program without a
-    naf cycle), that fixpoint is the candidate and is not computed again;
+    frozen at the very naf values its reduct freezes (the fixpoint of a
+    program without a naf cycle, or a guess fixpoint whose own naf values
+    are its guess), that fixpoint is the candidate and is not computed again;
     every check still runs.  A failed rule is reported from the
     ``gp.rules`` view.
     """
@@ -537,20 +531,22 @@ def solve(
     ``collect_trace`` keeps one snapshot per round, and ``max_iter`` caps
     the rounds of each cyclic component.
 
-    Positive programs have the unique operator fixpoint as their only
-    candidate.  With naf, the evolving-naf trajectory is tried first and
-    then, when a dependency cycle runs through naf, every self-consistent
-    assignment of naf values drawn from the operator closure of the program
-    weights (depth ``guess_depth``, lowered until the guesses fit in
-    ``max_guesses``; GuessLimitExceeded when even depth 1 does not).  Guess
-    and verification fixpoints evaluate the program with its naf items
-    frozen, in the finer order where naf is no dependency.
+    The first candidate is the fixpoint in that order, each naf item
+    reading the current interpretation.  Only a component with a naf cycle
+    inside is iterated as an operator trajectory; every other one reads
+    final naf values and is evaluated as with naf frozen, so a program
+    without a naf cycle (positive or stratified) has this fixpoint as its
+    only candidate.  When a dependency cycle runs through naf, every
+    self-consistent assignment of naf values drawn from the operator
+    closure of the program weights follows (depth ``guess_depth``, lowered
+    until the guesses fit in ``max_guesses``; GuessLimitExceeded when even
+    depth 1 does not).  Guess and verification fixpoints evaluate the
+    program with its naf items frozen, in the finer order where naf is no
+    dependency.
 
-    Each candidate remembers the naf values it was computed from: none for
-    a positive program's fixpoint, its guess for a guess fixpoint, and its
-    own naf values for the trajectory of a program with naf but no naf
-    cycle, unless a round of one of its cyclic components raised a head's
-    uncertainty (the frozen fixpoint would raise MonotonicityError there).
+    Each candidate remembers the naf values it was computed from: its guess
+    for a guess fixpoint, and its own naf values for the first fixpoint of
+    a program without a naf cycle, which is the frozen fixpoint at them.
     The verification of a candidate whose own naf values are those bits
     reuses it instead of computing the same fixpoint again.  This holds
     within one call only; the candidates it returns remember nothing.
@@ -570,11 +566,8 @@ def solve(
             candidates.append(candidate)
 
     try:
-        fix, monotone = _fixpoint(
-            gp, eps, max_iter, evolving=gp.has_naf, trace=trace, report=report
-        )
-        own = tuple(naf(fix.values[b]) for b in gp.naf_ids) if monotone and not naf_cycle else None
-        add_candidate(fix, own)
+        fix = _fixpoint(gp, eps, max_iter, trace=trace, report=report)
+        add_candidate(fix, None if naf_cycle else tuple(naf(fix.values[b]) for b in gp.naf_ids))
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
     except NonConvergent:

@@ -70,8 +70,8 @@ class TestSolveCommand:
 
     def test_stratified_trajectory_that_gains_uncertainty_is_verified_again(self, capsys):
         # The positive part's cyclic component raises p2's uncertainty in a
-        # round.  The trajectory only notes it, so the candidate is not
-        # reused: verification computes the frozen fixpoint, which raises.
+        # round.  The program has naf but no naf cycle, so that component is
+        # evaluated as a frozen one, and the round raises MonotonicityError.
         root = pathlib.Path(__file__).resolve().parent
         path = root / "fixtures" / "non_monotone_stratified.fasp"
         code, out, err = run(capsys, "solve", str(path))
@@ -80,6 +80,21 @@ class TestSolveCommand:
             "error: uncertainty increased at p2: "
             "ifn(0.0,0.75) -> trfn(0.0,0.0,0.75,0.8999999999999999)\n"
         )
+
+    def test_non_monotone_round_beside_naf_is_the_positive_error(self, capsys, tmp_path):
+        # not p3 reads ifn(1,1) and adds no naf cycle, so p0's cyclic
+        # component is iterated as in the positive program without it
+        error = (
+            "error: uncertainty increased at p0: "
+            "trfn(0.0,0.0,0.216,1.728) -> trfn(0.0,0.0,0.1296,2.0736)\n"
+        )
+        for body in ("not p3, p0, not p3", "p0"):
+            path = tmp_path / "widening.fasp"
+            path.write_text(
+                "p2 <- tfn(0.1,0.6,1.2). [tfn(0.1,0.6,1.2)]\n"
+                f"p0 <- {body}. [tfn(0.1,0.6,1.2)]\n"
+            )
+            assert run(capsys, "solve", str(path)) == (2, "", error), body
 
     def test_unsafe_rule_exit_two(self, capsys, tmp_path):
         path = tmp_path / "unsafe.fasp"

@@ -9,12 +9,13 @@ connectives and the definition-level checks, not the solver's fixpoint.
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fuzzyasp import (
     TRUE,
     UNKNOWN,
     AggregationTie,
+    FuzzyAspError,
     FuzzyTruth,
     Interpretation,
     MonotonicityError,
@@ -216,6 +217,52 @@ def test_solve_matches_whole_program_jacobi(case):
     (result,) = report.candidates
     assert result.interpretation is not None, source
     assert _max_gap(result.interpretation, reference) <= 1e-6, source
+
+
+def _with_naf_of_unknown(source: str) -> str:
+    """Each rule of ``source`` with ``not zz`` appended to its body."""
+    lines = []
+    for line in source.splitlines():
+        rule, weight = line.split(". [")
+        joint = ", " if " <- " in rule else " <- "
+        lines.append(f"{rule}{joint}not zz. [{weight}")
+    return "\n".join(lines)
+
+
+def _outcome(source: str):
+    """The exception type ``solve`` raises, or its statuses, rounds and values.
+
+    Values are compared on every literal but ``zz``.
+    """
+    gp = ground(parse(source))
+    assert not any(c.naf_inside for c in gp.components), source
+    try:
+        report = solve(gp)
+    except FuzzyAspError as exc:
+        return type(exc)
+    return (
+        [c.status for c in report.candidates],
+        report.iterations,
+        [
+            None if c.interpretation is None
+            else {l: v for l, v in c.interpretation.items() if l.atom.predicate != "zz"}
+            for c in report.candidates
+        ],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(stratified_programs())
+@example((
+    "p2 <- tfn(0.1,0.6,1.2). [tfn(0.1,0.6,1.2)]\np0 <- p0. [tfn(0.1,0.6,1.2)]",
+    "cyclic",
+))
+def test_naf_of_an_unknown_literal_changes_nothing(case):
+    # not zz reads ifn(1,1), the unit of the body fold, and adds no naf
+    # cycle: every component is still evaluated as a frozen one, so a
+    # round that raises a head's uncertainty is an error with it as without
+    source, _ = case
+    assert _outcome(_with_naf_of_unknown(source)) == _outcome(source), source
 
 
 @pytest.mark.parametrize("n", [1, 2, 40, 150])

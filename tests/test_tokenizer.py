@@ -117,6 +117,10 @@ DEEP = "(" * 101 + "ifn(0,1)" + ")" * 101
         (parse, "a.\nb. [ifn(0,1/0)]", ParseError, "division by zero (line 2, column 13)"),
         (parse, "ifn(0,1) <- a.", ParseError,
          "'ifn' is reserved for fuzzy literals (line 1, column 1)"),
+        (parse, "not.", ParseError,
+         "'not' is reserved for negation as failure (line 1, column 1)"),
+        (parse, "a <- -not.", ParseError,
+         "'not' is reserved for negation as failure (line 1, column 7)"),
         (parse, "p(<-).", ParseError, "expected a term, found '<-' (line 1, column 3)"),
         (parse, "a.\n\n\t-.", ParseError, "expected a literal, found '.' (line 3, column 3)"),
         (parse, "p(X) <- q(Y(.", ParseError, "expected ')', found '(' (line 1, column 12)"),
