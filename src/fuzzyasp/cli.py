@@ -13,6 +13,7 @@ with its column and exit code 2, as in a program file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from .errors import FuzzyAspError, ParseError
 from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
 from .program import Program, _Parser, ground, parse, parse_value
-from .solver import solve
+from .solver import DEFAULT_MAX_ITER, solve
 from .table import lattice_table
 from .truthspace import DEFAULT_EPS, FuzzyTruth
 
@@ -241,6 +242,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fuzzyasp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -267,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument("--trace", action="store_true",
                    help="assignments after each component evaluation round")
-    p.add_argument("--max-iter", type=positive_int, default=10_000,
-                   help="rounds allowed per cyclic component (default 10000)")
+    p.add_argument("--max-iter", type=positive_int, default=DEFAULT_MAX_ITER,
+                   help=f"rounds allowed per cyclic component (default {DEFAULT_MAX_ITER})")
     add_tol(p)
     p.set_defaults(func=_cmd_solve)
 

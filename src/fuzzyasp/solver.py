@@ -54,10 +54,11 @@ class Interpretation:
     :attr:`assignment`, :meth:`items` and the text form.
 
     ``_frozen_at`` is set only by :func:`solve`, and only while it runs:
-    the naf values (in ``gp.naf_ids`` order) of which these values are the
-    frozen fixpoint on the program being solved (a guess, or the program's
-    own naf values when it has no naf cycle), so that
-    :func:`verify_answer_set` need not compute that fixpoint again.
+    the frozen naf assignment (a dict from each naf literal id to its value)
+    at which these values are the frozen fixpoint of the program being
+    solved (a guess, or the program's own naf values when it has no naf
+    cycle), so that :func:`verify_answer_set` need not compute that
+    fixpoint again.
     """
 
     __slots__ = ("table", "values", "_frozen_at")
@@ -152,8 +153,8 @@ def eval_body(i: Interpretation, rule: Rule) -> FuzzyTruth:
     return conj(TRUE if acc is None else acc, rule.weight)
 
 
-def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: list | None) -> FuzzyTruth:
-    """:func:`eval_body` of a compiled body; ``naf_values`` overrides its naf items."""
+def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None) -> FuzzyTruth:
+    """:func:`eval_body` of a compiled body; ``naf_values`` freezes its naf items."""
     acc = None
     for kind, x in body:
         if kind == LIT:
@@ -281,7 +282,7 @@ def _fixpoint(
     eps: float,
     max_iter: int,
     *,
-    naf_values: list | None = None,
+    naf_values: dict | None = None,
     trace: list | None = None,
     report: SolveReport | None = None,
 ) -> Interpretation:
@@ -290,9 +291,10 @@ def _fixpoint(
     Components come dependencies first, so every literal a component reads
     from outside itself is already final when it is evaluated.  Without
     ``naf_values`` each naf item reads the current interpretation and the
-    order is ``gp.components``, in which naf is a dependency; with it naf
-    items take their value from that override list (indexed by literal id)
-    and the order is ``gp.frozen_components``, in which it is none.
+    order is ``gp.components``, in which naf is a dependency; with it each
+    item ``not b`` takes the value ``naf_values[b]``, a mapping from every
+    naf literal id of ``gp``, and the order is ``gp.frozen_components``, in
+    which naf is none.
 
     An acyclic component is evaluated once; a cyclic one is iterated
     Jacobi-style over its own heads until they are stable within ``eps``,
@@ -368,33 +370,25 @@ def kmin_supported_model(
     *,
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
-    naf_values: list | None = None,
+    naf_values: dict | None = None,
 ) -> Interpretation:
     """Fixpoint of the supported-value operator on a positive program.
 
     Starts from the all-unknown interpretation; every round must leave each
     literal at least as certain as before (MonotonicityError otherwise).
     Raises NonConvergent past ``max_iter`` rounds of one cyclic component
-    or when a product overflows, and Inconsistent when the fixpoint assigns contradictory equally-certain
-    complements or an aggregation ties.
+    or when a product overflows, and Inconsistent when the fixpoint assigns
+    contradictory equally-certain complements or an aggregation ties.
 
-    ``naf_values`` is an override list indexed by literal id (``gp.literals``
-    order): every naf literal b of ``gp`` is given the value its ``not b``
-    items take, and entries at other ids are not read.  ``gp`` is then
+    ``naf_values`` is a frozen naf assignment: a mapping from each naf
+    literal id b of ``gp`` to the value its ``not b`` items take (a list
+    indexed by literal id works too; no other id is read).  ``gp`` is then
     evaluated as the positive program with those items frozen, without
     building it.  Without it ``gp`` must be positive.
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
     return _fixpoint(gp, eps, max_iter, naf_values=naf_values)
-
-
-def _override(gp: GroundProgram, frozen) -> list:
-    """The override list giving ``gp``'s naf ids the values ``frozen``, in order."""
-    override = [None] * len(gp.literals)
-    for b, value in zip(gp.naf_ids, frozen):
-        override[b] = value
-    return override
 
 
 class Status(enum.Enum):
@@ -441,9 +435,10 @@ def verify_answer_set(
     """Full Definition-style check of one candidate.
 
     Answer set iff the candidate is a consistent supported model and equals
-    the fixpoint of its own reduct; otherwise the specific failure.  When
-    :func:`solve` computed the candidate itself as the fixpoint of ``gp``
-    frozen at the very naf values its reduct freezes (the fixpoint of a
+    the fixpoint of its own reduct; otherwise the specific failure.  The
+    reduct is ``gp`` with the frozen naf assignment ``{b: naf(I(b))}`` over
+    ``gp.naf_ids``.  When :func:`solve` computed the candidate itself as the
+    fixpoint of ``gp`` frozen at that very assignment (the fixpoint of a
     program without a naf cycle, or a guess fixpoint whose own naf values
     are its guess), that fixpoint is the candidate and is not computed again;
     every check still runs.  A failed rule is reported from the
@@ -459,15 +454,13 @@ def verify_answer_set(
     violation = _unsupported(gp, values, eps)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
-    frozen = tuple(naf(values[b]) for b in gp.naf_ids)
+    frozen = {b: naf(values[b]) for b in gp.naf_ids}
     # a naf value is 1 - b, never -0.0: values that are == have equal bits
     if i._frozen_at == frozen:
         fix = i
     else:
         try:
-            fix = kmin_supported_model(
-                gp, eps=eps, max_iter=max_iter, naf_values=_override(gp, frozen)
-            )
+            fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=frozen)
         except Inconsistent as exc:
             return CandidateResult(i, Status.INCONSISTENT, exc.atom)
         except NonConvergent:
@@ -484,8 +477,9 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
     taken in program order, not hash order.  The closure is taken at
     operator depth ``depth``, lowered one step at a time while it exceeds
     the closure cap or while ``len(domain) ** slots`` exceeds
-    ``max_guesses``, but never below 1 for the second reason.  Returns
-    (domain, depth used); depth 0 means the bare seeds.
+    ``max_guesses``, but never below 1 for the second reason: there
+    GuessLimitExceeded is raised instead.  Returns (domain, depth used);
+    depth 0 means the bare seeds.
     """
     from .oracle import closure_enumerate
 
@@ -507,8 +501,11 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
         domain: dict[float, FuzzyTruth] = {}
         for v in closure:
             domain.setdefault(round(1.0 - v.b, 9), naf(v))
-        if len(domain) ** slots <= max_guesses or depth <= 1:
+        guesses = len(domain) ** slots
+        if guesses <= max_guesses:
             return list(domain.values()), depth
+        if depth <= 1:
+            raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
         depth -= 1
 
 
@@ -536,45 +533,57 @@ def solve(
     inside is iterated as an operator trajectory; every other one reads
     final naf values and is evaluated as with naf frozen, so a program
     without a naf cycle (positive or stratified) has this fixpoint as its
-    only candidate.  When a dependency cycle runs through naf, every
-    self-consistent assignment of naf values drawn from the operator
-    closure of the program weights follows (depth ``guess_depth``, lowered
-    until the guesses fit in ``max_guesses``; GuessLimitExceeded when even
-    depth 1 does not).  Guess and verification fixpoints evaluate the
-    program with its naf items frozen, in the finer order where naf is no
-    dependency.
+    only candidate.  When a dependency cycle runs through naf, every guess
+    follows: a frozen naf assignment, from each naf literal id to a value
+    of the naf image of the operator closure of the program weights (depth
+    ``guess_depth``, lowered until the guesses fit in ``max_guesses``;
+    GuessLimitExceeded when even depth 1 does not).  Its frozen fixpoint,
+    evaluated in the finer order where naf is no dependency, is a candidate
+    when its own naf values are the guess; one that is inconsistent, does
+    not converge or raises some head's uncertainty is none.  Candidates
+    equal within ``eps`` to an earlier one are dropped.
 
-    Each candidate remembers the naf values it was computed from: its guess
-    for a guess fixpoint, and its own naf values for the first fixpoint of
-    a program without a naf cycle, which is the frozen fixpoint at them.
-    The verification of a candidate whose own naf values are those bits
-    reuses it instead of computing the same fixpoint again.  This holds
-    within one call only; the candidates it returns remember nothing.
+    Each candidate remembers the frozen naf assignment it was computed at:
+    its guess, or its own naf values for the first fixpoint of a program
+    without a naf cycle.  The verification of a candidate whose own naf
+    values are those bits reuses it instead of computing the same fixpoint
+    again.  This holds within one call only; the candidates it returns
+    remember nothing.
     """
     gp = ground(program) if isinstance(program, Program) else program
     trace = [] if collect_trace else None
     report = SolveReport(trace=trace)
+    naf_ids = gp.naf_ids
     naf_cycle = any(c.naf_inside for c in gp.components)
 
-    candidates: list[Interpretation] = []
-
-    def add_candidate(candidate: Interpretation, frozen: tuple | None):
-        """Keep a new candidate: the fixpoint of ``gp`` frozen at the naf
-        values ``frozen``, or None when it is not known to be one."""
-        if not any(interpretations_equal(candidate, c, eps) for c in candidates):
-            candidate._frozen_at = frozen
-            candidates.append(candidate)
-
+    # (fixpoint, the frozen naf assignment it is the fixpoint at, or None)
+    found: list[tuple[Interpretation, dict | None]] = []
     try:
         fix = _fixpoint(gp, eps, max_iter, trace=trace, report=report)
-        add_candidate(fix, None if naf_cycle else tuple(naf(fix.values[b]) for b in gp.naf_ids))
+        found.append((fix, None if naf_cycle else {b: naf(fix.values[b]) for b in naf_ids}))
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
     except NonConvergent:
         report.candidates.append(CandidateResult(None, Status.NON_CONVERGENT, None))
     if naf_cycle:
-        _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max_guesses)
+        domain, report.guess_depth = _naf_guess_domain(
+            gp, guess_depth, len(naf_ids), max_guesses
+        )
+        # every answer set with naf values in the domain is the fixpoint at them
+        for combo in itertools.product(domain, repeat=len(naf_ids)):
+            guess = dict(zip(naf_ids, combo))
+            try:
+                fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
+            except (Inconsistent, NonConvergent, MonotonicityError):
+                continue
+            if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
+                found.append((fix, guess))
 
+    candidates: list[Interpretation] = []
+    for fix, frozen in found:
+        if not any(interpretations_equal(fix, c, eps) for c in candidates):
+            fix._frozen_at = frozen
+            candidates.append(fix)
     for candidate in candidates:
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)
         candidate._frozen_at = None
@@ -582,29 +591,3 @@ def solve(
         if result.status is Status.ANSWER_SET:
             report.answer_sets.append(candidate)
     return report
-
-
-def _guess_candidates(gp, add_candidate, report, eps, max_iter, guess_depth, max_guesses):
-    """Second candidate tier: self-consistent naf-value assignments.
-
-    Every answer set whose naf values lie in the weight closure is the
-    fixpoint of the program frozen at those values, so enumerating the
-    (deduplicated) naf images of the closure finds all of them.  A guess
-    whose frozen fixpoint is inconsistent, does not converge or raises some
-    head's uncertainty yields no candidate; the other guesses still run.
-    """
-    naf_ids = gp.naf_ids
-    domain, report.guess_depth = _naf_guess_domain(
-        gp, guess_depth, len(naf_ids), max_guesses
-    )
-    guesses = len(domain) ** len(naf_ids)
-    if guesses > max_guesses:
-        raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
-    for combo in itertools.product(domain, repeat=len(naf_ids)):
-        guess = _override(gp, combo)
-        try:
-            fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
-        except (Inconsistent, NonConvergent, MonotonicityError):
-            continue
-        if all(equal(naf(fix.values[b]), v, eps) for b, v in zip(naf_ids, combo)):
-            add_candidate(fix, combo)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fuzzyasp import DomainError, ParseError, parse, parse_value
+from fuzzyasp import DomainError, ParseError, ground, parse, parse_value
 from fuzzyasp.cli import MAX_PAREN_DEPTH, main
 
 
@@ -158,6 +158,48 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", tumor_file, "--trace")
         assert code == 0
         assert "pass 1:" in out
+
+    def test_json_trace_rounds_match_the_text_trace(self, capsys, tmp_path):
+        source = "a. b <- a. [ifn(0.5,1)] c <- not b.\n"
+        path = tmp_path / "stratified.fasp"
+        path.write_text(source)
+        code, out, _ = run(capsys, "solve", str(path), "--json", "--trace")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["iterations"] == len(doc["trace"]) == 3
+        text_rounds = []
+        code, out, _ = run(capsys, "solve", str(path), "--trace")
+        assert code == 0
+        for line in out[out.index("pass 1:"):].splitlines():
+            if line.startswith("pass "):
+                text_rounds.append({})
+            else:
+                name, value = line.strip().split(" : ")
+                text_rounds[-1][name] = parse_value(value)
+        assert len(text_rounds) == 3
+        for rounds, text in zip(doc["trace"], text_rounds):
+            # every literal, in id order, as [a, b, c, d, truncated]
+            assert list(rounds) == list(ground(parse(source)).table.names)
+            for name, (a, b, c, d, truncated) in rounds.items():
+                assert isinstance(truncated, bool)
+                assert (a, b, c, d) == tuple(text[name])
+
+    def test_one_process_parses_calls_independently(self, capsys):
+        # the parser is built once; no option of one call leaks into the next
+        root = pathlib.Path(__file__).resolve().parent.parent
+        program = str(root / "tests" / "fixtures" / "weighted_loop.fasp")
+        code, out, _ = run(capsys, "solve", program, "--trace")
+        assert code == 0
+        assert "pass 1:" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", program, "--tol", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --tol: must be finite and non-negative" in captured.err
+        code, out, _ = run(capsys, "solve", program, "--json")
+        assert code == 0
+        assert out == (root / "tests" / "fixtures" / "weighted_loop_solve.json").read_text()
+        assert "trace" not in json.loads(out)
 
     def test_guess_limit_exit_two(self, capsys, tmp_path):
         # ten independent even loops: 2**20 naf guesses even at depth 1

@@ -10,6 +10,7 @@ from fuzzyasp import (
     TRUE,
     UNKNOWN,
     Atom,
+    ClosureTooLarge,
     GuessLimitExceeded,
     Interpretation,
     Literal,
@@ -25,6 +26,7 @@ from fuzzyasp import (
     kmin_supported_model,
     measure,
     naf,
+    oracle,
     parse,
     reduct,
     satisfies,
@@ -515,3 +517,78 @@ class TestGuessLimits:
 
     def test_no_guessing_without_a_naf_cycle(self):
         assert solve(parse("b. a <- b, not c."), max_guesses=0).guess_depth is None
+
+    def test_closure_cap_lowers_the_depth(self, monkeypatch):
+        # five distinct weights: the depth-3 closure exceeds the closure cap,
+        # and the 1471 naf values of the depth-2 one give 1471**2 guesses
+        depths = []
+        closure_enumerate = oracle.closure_enumerate
+
+        def spy(values, depth, **kwargs):
+            try:
+                closure = closure_enumerate(values, depth, **kwargs)
+            except ClosureTooLarge:
+                depths.append((depth, "too large"))
+                raise
+            depths.append((depth, len(closure)))
+            return closure
+
+        monkeypatch.setattr(oracle, "closure_enumerate", spy)
+        report = solve(parse(
+            "a <- not b. [ifn(0.11,0.11)] b <- not a. [ifn(0.13,0.13)] "
+            "c. [ifn(0.17,0.17)] d. [ifn(0.19,0.19)] e. [ifn(0.23,0.23)]"
+        ))
+        assert depths == [(3, "too large"), (2, 2222), (1, 53)]
+        assert report.guess_depth == 1
+        # a = 0.11 (1 - b) and b = 0.13 (1 - a)
+        a = 0.11 * (1 - 0.13) / (1 - 0.11 * 0.13)
+        b = 0.13 * (1 - a)
+        (model,) = report.answer_sets
+        for name, v in dict(a=a, b=b, c=0.17, d=0.19, e=0.23).items():
+            assert equal(model.value(lit(name)), ifn(v, v))
+
+    def test_depth_zero_guesses_the_seeds(self):
+        # the bare seeds TRUE and UNKNOWN give the crisp naf values 0 and 1
+        report = solve(parse("a <- not b. b <- not a."), guess_depth=0)
+        assert report.guess_depth == 0
+        found = {(m.value(lit("a")), m.value(lit("b"))) for m in report.answer_sets}
+        assert found == {(TRUE, FALSE), (FALSE, TRUE)}
+
+
+class TestKnownDefects:
+    """The two search defects the ROADMAP tracks, pinned as strict xfails."""
+
+    TWO_LOOPS = (
+        "a <- not b. b <- not a. "
+        "c <- not d. [ifn(0.5,0.5)] d <- not c. [ifn(0.5,0.5)]"
+    )
+
+    @pytest.mark.parametrize("a, b", [(TRUE, FALSE), (FALSE, TRUE)])
+    def test_answer_sets_outside_the_guess_domain_verify(self, a, b):
+        # c = 0.5 (1 - d) and d = 0.5 (1 - c) meet at 1/3
+        third = ifn(1 / 3, 1 / 3)
+        i = interp(a=a, b=b, c=third, d=third)
+        assert verify_answer_set(ground(parse(self.TWO_LOOPS)), i).status is Status.ANSWER_SET
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: c = d = 1/3 is no naf image of the weight "
+        "closure, so no guess reaches either answer set; 0 are reported",
+    )
+    def test_every_answer_set_is_found(self):
+        report = solve(parse(self.TWO_LOOPS))
+        assert len(report.answer_sets) == 2
+        third = ifn(1 / 3, 1 / 3)
+        for model in report.answer_sets:
+            assert equal(model.value(lit("c")), third)
+            assert equal(model.value(lit("d")), third)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=GuessLimitExceeded,
+        reason="ROADMAP item 3: the whole-program search guesses 2**20 naf "
+        "assignments even at depth 1, past max_guesses",
+    )
+    def test_independent_loops_are_solved_apart(self):
+        report = solve(parse(" ".join(f"a{i} <- not b{i}. b{i} <- not a{i}." for i in range(10))))
+        assert len(report.answer_sets) == 1024
