@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument("--tol", type=tolerance, default=DEFAULT_EPS,
-                       help="comparison tolerance (default 1e-9)")
+                       help=f"comparison tolerance (default {DEFAULT_EPS})")
 
     p = sub.add_parser("solve", help="compute answer sets of a program file")
     p.add_argument("path")

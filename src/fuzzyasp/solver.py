@@ -29,6 +29,7 @@ from .program import (
     LIT,
     NAF,
     VALUE,
+    Component,
     FuzzyTruth,
     GroundProgram,
     Literal,
@@ -319,50 +320,70 @@ def _fixpoint(
     Every literal of ``gp``, naf-only ones included, starts unknown, so all
     fixpoints of one program list the same literals.
     """
-    literals = gp.literals
-    values = [UNKNOWN] * len(literals)
-    components = gp.components if naf_values is None else gp.frozen_components
-    for heads, cyclic, naf_inside, plan in components:
-        # states of a naf cycle's trajectory so far; every head starts unknown
-        seen = {UNKNOWN * len(heads)} if naf_inside else None
-        for rounds in range(1, (max_iter if cyclic else 1) + 1):
-            new = []
-            for head, own, against in plan:
-                try:
-                    new.append(_target(values, own, against, naf_values, eps))
-                except AggregationTie as exc:
-                    raise Inconsistent(literals[head].atom) from exc
-                except OrderViolation as exc:
-                    raise NonConvergent(rounds) from exc
-            previous = [values[h] for h in heads] if cyclic else None
-            for head, value in zip(heads, new):
-                values[head] = value
-            if report is not None:
-                report.iterations += 1
-            if trace is not None:
-                trace.append(Interpretation.of(gp.table, list(values)))
-            if not cyclic:
-                break  # its first round started from unknown: nothing to compare
-            if not naf_inside:
-                for head, old, value in zip(heads, previous, new):
-                    if uncertainty_degree(value) > uncertainty_degree(old) + eps:
-                        raise MonotonicityError(
-                            f"uncertainty increased at {literals[head]}: {old} -> {value}"
-                        )
-            if all(equal(old, value, eps) for old, value in zip(previous, new)):
-                break
-            if naf_inside:
-                state = tuple(round(p, 12) for v in new for p in v)
-                if state in seen:
-                    raise NonConvergent(rounds)
-                seen.add(state)
-        else:
-            raise NonConvergent(max_iter)
-        if not naf_inside:
-            atom = _contradiction(gp.table, values, heads, eps)
-            if atom is not None:
-                raise Inconsistent(atom)
+    values = [UNKNOWN] * len(gp.literals)
+    for component in gp.components if naf_values is None else gp.frozen_components:
+        _evaluate(gp, component, values, naf_values, eps, max_iter, trace, report)
     return Interpretation.of(gp.table, values)
+
+
+def _evaluate(
+    gp: GroundProgram,
+    component: Component,
+    values: list,
+    naf_values,
+    eps: float,
+    max_iter: int,
+    trace: list | None = None,
+    report: SolveReport | None = None,
+) -> None:
+    """Evaluate one component of :func:`_fixpoint` in place, in ``values``.
+
+    Its heads start unknown; every literal it reads from outside itself
+    must already hold its final value.  Raises as :func:`_fixpoint` does.
+    """
+    heads, cyclic, naf_inside, plan = component
+    if cyclic:  # an acyclic component's one round reads none of its heads
+        for head in heads:
+            values[head] = UNKNOWN
+    # states of a naf cycle's trajectory so far
+    seen = {UNKNOWN * len(heads)} if naf_inside else None
+    for rounds in range(1, (max_iter if cyclic else 1) + 1):
+        new = []
+        for head, own, against in plan:
+            try:
+                new.append(_target(values, own, against, naf_values, eps))
+            except AggregationTie as exc:
+                raise Inconsistent(gp.literals[head].atom) from exc
+            except OrderViolation as exc:
+                raise NonConvergent(rounds) from exc
+        previous = [values[h] for h in heads] if cyclic else None
+        for head, value in zip(heads, new):
+            values[head] = value
+        if report is not None:
+            report.iterations += 1
+        if trace is not None:
+            trace.append(Interpretation.of(gp.table, list(values)))
+        if not cyclic:
+            break  # its first round started from unknown: nothing to compare
+        if not naf_inside:
+            for head, old, value in zip(heads, previous, new):
+                if uncertainty_degree(value) > uncertainty_degree(old) + eps:
+                    raise MonotonicityError(
+                        f"uncertainty increased at {gp.literals[head]}: {old} -> {value}"
+                    )
+        if all(equal(old, value, eps) for old, value in zip(previous, new)):
+            break
+        if naf_inside:
+            state = tuple(round(p, 12) for v in new for p in v)
+            if state in seen:
+                raise NonConvergent(rounds)
+            seen.add(state)
+    else:
+        raise NonConvergent(max_iter)
+    if not naf_inside:
+        atom = _contradiction(gp.table, values, heads, eps)
+        if atom is not None:
+            raise Inconsistent(atom)
 
 
 def kmin_supported_model(
@@ -509,6 +530,93 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
         depth -= 1
 
 
+def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_iter: int):
+    """Every guess over ``domain`` whose frozen fixpoint reproduces it.
+
+    A guess gives each naf literal id of ``gp`` a value of ``domain``; it is
+    kept when its frozen fixpoint exists (no Inconsistent, NonConvergent or
+    MonotonicityError) and ``equal`` within ``eps`` puts each literal's naf
+    value at its guess.  Returns ``(fixpoint, guess)`` pairs, the guess a
+    dict in ``gp.naf_ids`` order, in the order of
+    ``itertools.product(domain, repeat=len(gp.naf_ids))``.
+
+    A frozen component's value depends only on earlier components and on
+    the naf values it reads, so the guesses are searched one component of
+    ``gp.frozen_components`` at a time, depth first, over one shared value
+    list: the component that first reads ``not b`` chooses b's value.  When
+    b has no rules or an earlier component, its value is final there and
+    only the domain values equal to its naf are kept; otherwise every value
+    is tried and checked once b's own component has been evaluated.  The
+    components are walked in the order of the ``gp.components`` they lie
+    in, frozen order within each, so b comes before the component reading
+    ``not b`` unless a naf cycle runs through both: only there is b
+    guessed.  A branch ends at the first component that raises or fails a
+    check, so each component is evaluated once per choice of the naf
+    values read up to it, not once per whole guess.
+    """
+    # a frozen component lies inside one component of ``gp.components``,
+    # and the sort is stable
+    outer = {h: n for n, component in enumerate(gp.components) for h in component.heads}
+    components = sorted(gp.frozen_components, key=lambda c: outer[c.heads[0]])
+    where = {h: k for k, component in enumerate(components) for h in component.heads}
+    reads: list[list] = [[] for _ in components]  # per component: (id, guessed)
+    checks: list[list] = [[] for _ in components]  # guessed ids it makes final
+    first = set()
+    for k, (_, _, _, plan) in enumerate(components):
+        # a complement whose rules a head aggregates is a head of k too
+        for _, own, _ in plan:
+            for body, _ in own:
+                for kind, b in body:
+                    if kind == NAF and b not in first:
+                        first.add(b)
+                        guessed = where.get(b, -1) >= k
+                        reads[k].append((b, guessed))
+                        if guessed:
+                            checks[where[b]].append(b)
+
+    everything = range(len(domain))
+    # a naf value is a point (a = b = c = d), so ``equal`` to one compares a
+    points = [d.a for d in domain]
+    values = [UNKNOWN] * len(gp.literals)
+    chosen: dict = {}  # naf id -> its domain index on the current branch
+    frozen: dict = {}  # naf id -> its value on the current branch
+
+    def choices(k: int):
+        options = []
+        for b, guessed in reads[k]:
+            if guessed:
+                options.append(everything)
+            else:
+                t = naf(values[b]).a
+                options.append([i for i, p in enumerate(points) if abs(t - p) <= eps])
+        return itertools.product(*options)
+
+    accepted = []
+    stack = [choices(0)]  # one iterator of choices per component on the branch
+    while stack:
+        k = len(stack) - 1
+        combo = next(stack[k], None)
+        if combo is None:
+            stack.pop()
+            continue
+        for (b, _), i in zip(reads[k], combo):
+            chosen[b], frozen[b] = i, domain[i]
+        try:
+            _evaluate(gp, components[k], values, frozen, eps, max_iter)
+        except (Inconsistent, NonConvergent, MonotonicityError):
+            continue
+        if not all(equal(naf(values[b]), frozen[b], eps) for b in checks[k]):
+            continue
+        if k + 1 < len(components):
+            stack.append(choices(k + 1))
+            continue
+        key = tuple(chosen[b] for b in gp.naf_ids)
+        guess = {b: frozen[b] for b in gp.naf_ids}
+        accepted.append((key, Interpretation.of(gp.table, list(values)), guess))
+    accepted.sort(key=lambda found: found[0])
+    return [(fix, guess) for _, fix, guess in accepted]
+
+
 def solve(
     program: Program | GroundProgram,
     *,
@@ -533,15 +641,21 @@ def solve(
     inside is iterated as an operator trajectory; every other one reads
     final naf values and is evaluated as with naf frozen, so a program
     without a naf cycle (positive or stratified) has this fixpoint as its
-    only candidate.  When a dependency cycle runs through naf, every guess
-    follows: a frozen naf assignment, from each naf literal id to a value
-    of the naf image of the operator closure of the program weights (depth
-    ``guess_depth``, lowered until the guesses fit in ``max_guesses``;
-    GuessLimitExceeded when even depth 1 does not).  Its frozen fixpoint,
-    evaluated in the finer order where naf is no dependency, is a candidate
-    when its own naf values are the guess; one that is inconsistent, does
-    not converge or raises some head's uncertainty is none.  Candidates
-    equal within ``eps`` to an earlier one are dropped.
+    only candidate.  When a dependency cycle runs through naf, the
+    self-consistent guesses follow.  A guess is a frozen naf assignment,
+    from each naf literal id to a value of the naf image of the operator
+    closure of the program weights (depth ``guess_depth``, lowered until
+    the joint guesses, ``len(domain) ** len(gp.naf_ids)``, fit in
+    ``max_guesses``; GuessLimitExceeded when even depth 1 does not).  Its
+    frozen fixpoint, evaluated in the finer order where naf is no
+    dependency, is a candidate when its own naf values are the guess; one
+    that is inconsistent, does not converge or raises some head's
+    uncertainty is none.  The guesses are not enumerated jointly: they are
+    searched one frozen component at a time, a naf literal guessed only
+    where it is read before its value is final and filtered everywhere
+    else (see :func:`_self_consistent_guesses`).  The candidates come in
+    the joint enumeration's order and bits all the same.  Candidates equal
+    within ``eps`` to an earlier one are dropped.
 
     Each candidate remembers the frozen naf assignment it was computed at:
     its guess, or its own naf values for the first fixpoint of a program
@@ -570,14 +684,7 @@ def solve(
             gp, guess_depth, len(naf_ids), max_guesses
         )
         # every answer set with naf values in the domain is the fixpoint at them
-        for combo in itertools.product(domain, repeat=len(naf_ids)):
-            guess = dict(zip(naf_ids, combo))
-            try:
-                fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=guess)
-            except (Inconsistent, NonConvergent, MonotonicityError):
-                continue
-            if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
-                found.append((fix, guess))
+        found += _self_consistent_guesses(gp, domain, eps, max_iter)
 
     candidates: list[Interpretation] = []
     for fix, frozen in found:

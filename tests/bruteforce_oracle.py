@@ -6,6 +6,11 @@ supportedness equations, the three-branch satisfaction rule, consistency,
 and knowledge-minimality among supported models of the candidate's own
 frozen-naf program.  Shares only the connectives and measures with the
 implementation under test.
+
+:func:`joint_solve` is the exception: a reference for the solver's own naf
+search, it enumerates the whole joint guess space with the solver's
+fixpoint engine, as ``solve`` did before it searched one frozen component
+at a time.
 """
 
 import itertools
@@ -26,6 +31,7 @@ from fuzzyasp import (
     truth_degree,
     uncertainty_degree,
 )
+from fuzzyasp import solver
 from fuzzyasp.oracle import closure_enumerate
 
 EPS = 1e-9
@@ -178,3 +184,41 @@ class BruteForce:
             if minimal:
                 found.append(Interpretation(dict(zip(self.lits, cand))))
         return found
+
+
+def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
+                max_guesses=100_000):
+    """``solve``'s candidates and guess depth, from the joint guess loop.
+
+    Every guess of ``itertools.product(domain, repeat=len(gp.naf_ids))``
+    gets its own whole-program frozen fixpoint.  Verification recomputes
+    every reduct fixpoint instead of reusing the candidate's.
+    """
+    results, found = [], []
+    try:
+        found.append(solver._fixpoint(gp, eps, max_iter))
+    except solver.Inconsistent as exc:
+        results.append(solver.CandidateResult(None, solver.Status.INCONSISTENT, exc.atom))
+    except solver.NonConvergent:
+        results.append(solver.CandidateResult(None, solver.Status.NON_CONVERGENT, None))
+    depth = None
+    if any(c.naf_inside for c in gp.components):
+        domain, depth = solver._naf_guess_domain(gp, guess_depth, len(gp.naf_ids), max_guesses)
+        for combo in itertools.product(domain, repeat=len(gp.naf_ids)):
+            guess = dict(zip(gp.naf_ids, combo))
+            try:
+                fix = solver.kmin_supported_model(
+                    gp, eps=eps, max_iter=max_iter, naf_values=guess
+                )
+            except (solver.Inconsistent, solver.NonConvergent, solver.MonotonicityError):
+                continue
+            if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
+                found.append(fix)
+    candidates = []
+    for fix in found:
+        if not any(solver.interpretations_equal(fix, c, eps) for c in candidates):
+            candidates.append(fix)
+    results += [
+        solver.verify_answer_set(gp, c, eps=eps, max_iter=max_iter) for c in candidates
+    ]
+    return results, depth

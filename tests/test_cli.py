@@ -11,6 +11,8 @@ import pytest
 
 from fuzzyasp import DomainError, ParseError, ground, parse, parse_value
 from fuzzyasp.cli import MAX_PAREN_DEPTH, main
+from fuzzyasp.solver import DEFAULT_MAX_ITER
+from fuzzyasp.truthspace import DEFAULT_EPS
 
 
 def run(capsys, *argv):
@@ -220,6 +222,14 @@ class TestSolveCommand:
         assert code == 0
         assert "guess depth: 3\n" in out
 
+    def test_help_shows_the_solver_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+        assert f"--max-iter MAX_ITER rounds allowed per cyclic component (default {DEFAULT_MAX_ITER})" in out
+        assert f"--tol TOL comparison tolerance (default {DEFAULT_EPS})" in out
+
     def test_guess_depth_absent_without_guessing(self, capsys, tumor_file):
         code, out, _ = run(capsys, "solve", tumor_file, "--json")
         assert json.loads(out)["guess_depth"] is None
@@ -265,6 +275,7 @@ class TestSolveCommand:
             "programs/flying.fasp",
             "tests/fixtures/crisp_loop3.fasp",
             "tests/fixtures/weighted_loop.fasp",
+            "tests/fixtures/naf_strata.fasp",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):

@@ -3,7 +3,9 @@ import logging
 import pathlib
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from fuzzyasp import (
     FALSE,
@@ -11,6 +13,7 @@ from fuzzyasp import (
     UNKNOWN,
     Atom,
     ClosureTooLarge,
+    FuzzyAspError,
     GuessLimitExceeded,
     Interpretation,
     Literal,
@@ -37,6 +40,8 @@ from fuzzyasp import (
     uncertainty_degree,
     verify_answer_set,
 )
+
+from bruteforce_oracle import joint_solve
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -345,25 +350,19 @@ class TestSolve:
         assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
 
     def test_crisp_even_loop_verification_recomputes_no_guess_fixpoint(self, monkeypatch):
-        kmin, verify = solver.kmin_supported_model, solver.verify_answer_set
-        verifying, calls = [], []
+        # the guess search evaluates components itself, and verification
+        # reuses each candidate's fixpoint: nothing calls kmin_supported_model
+        calls = []
+        kmin = solver.kmin_supported_model
 
         def counting_kmin(*args, **kwargs):
-            calls.append(bool(verifying))
+            calls.append(1)
             return kmin(*args, **kwargs)
 
-        def flagged_verify(*args, **kwargs):
-            verifying.append(True)
-            try:
-                return verify(*args, **kwargs)
-            finally:
-                verifying.pop()
-
         monkeypatch.setattr(solver, "kmin_supported_model", counting_kmin)
-        monkeypatch.setattr(solver, "verify_answer_set", flagged_verify)
         report = solve(parse("a <- not b. b <- not a."))
         assert len(report.answer_sets) == 2
-        assert calls and not any(calls)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "source",
@@ -553,6 +552,111 @@ class TestGuessLimits:
         assert report.guess_depth == 0
         found = {(m.value(lit("a")), m.value(lit("b"))) for m in report.answer_sets}
         assert found == {(TRUE, FALSE), (FALSE, TRUE)}
+
+
+# restricted and truncated weights; "" is none, and is drawn most often
+_WEIGHTS = ("", "", "", " [ifn(0.6,0.6)]", " [ifn(0.3,0.7)]", " [tfn(0.4,0.4,1.5)]",
+            " [trfn(-0.0,0,-0.0,1)]", " [tfn(0.1,0.6,1.2)]", " [ifn(0.5,1)]")
+_CYCLES = (
+    ("c0 <- not c1.", "c1 <- not c0."),  # even
+    ("c0 <- not c0.",),  # odd
+    ("c0 <- c1.", "c1 <- not c0."),  # through a positive edge
+    ("c0 <- not c1.", "c1 <- not c0.", "-c0 <- c1."),  # through a complement pair
+)
+# q's read the cycle and may form positive cycles, z has no rules, and -c0
+# and -q0 pair with c0 and q0
+_BODY_ITEMS = ("c0", "c1", "not c0", "not c1", "q0", "q1", "not q0", "not z", "-c0",
+               "ifn(0.3,0.7)", "tfn(0.1,0.6,1.2)")
+_HEADS = ("q0", "q1", "-q0", "c0")
+
+
+@st.composite
+def layered_naf_programs(draw) -> str:
+    """A naf cycle on c0 and c1, and strata above it that read ``not`` of it."""
+    rules = [r + draw(st.sampled_from(_WEIGHTS)) for r in draw(st.sampled_from(_CYCLES))]
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from(_HEADS))
+        body = draw(st.lists(st.sampled_from(_BODY_ITEMS), max_size=3))
+        rule = f"{head} <- {', '.join(body)}." if body else f"{head}."
+        rules.append(rule + draw(st.sampled_from(_WEIGHTS)))
+    return "\n".join(draw(st.permutations(rules)))
+
+
+def _bits(x):
+    """``x`` with every float as its hex form, so -0.0 differs from 0.0."""
+    if isinstance(x, Interpretation):
+        return [literal.render() for literal in x.table.literals], _bits(x.values)
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _outcome(run):
+    try:
+        results, depth = run()
+    except FuzzyAspError as exc:
+        return type(exc).__name__, str(exc)
+    return depth, [
+        (r.status, _bits(r.interpretation), _bits(r.detail), repr(r.detail)) for r in results
+    ]
+
+
+class TestGuessSearch:
+    """The component-at-a-time naf search against the joint guess loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(layered_naf_programs())
+    # a cyclic frozen component that each branch must start from unknown
+    @example("c0 <- not c1.\nc1 <- not c0.\nq0 <- c0, q0.")
+    def test_same_candidates_as_the_joint_guess_loop(self, source):
+        # a non-convergent guess stops at 200 rounds, the joint loop at about
+        # 2,000 fixpoints, and a depth-2 closure is quick to enumerate
+        gp = ground(parse(source))
+        limits = dict(max_iter=200, guess_depth=2, max_guesses=2_000)
+
+        def searched():
+            report = solve(gp, **limits)
+            return report.candidates, report.guess_depth
+
+        assert _outcome(searched) == _outcome(lambda: joint_solve(gp, **limits))
+
+    def test_a_literal_off_every_naf_cycle_is_filtered_not_guessed(self, monkeypatch):
+        # a reads not c, and c's rule comes later, but no naf cycle runs
+        # through c: c is evaluated first, and a once per guess of b alone
+        gp = ground(parse("a <- not b, not c. b <- not a. c."))
+        domain, _ = solver._naf_guess_domain(gp, 3, len(gp.naf_ids), 100_000)
+        evaluated = []
+        evaluate = solver._evaluate
+
+        def spy(gp, component, *args):
+            evaluated.append(component.heads)
+            return evaluate(gp, component, *args)
+
+        monkeypatch.setattr(solver, "_evaluate", spy)
+        found = solver._self_consistent_guesses(gp, domain, 1e-9, 100)
+        assert len(domain) > 1 and len(found) == 1
+        assert evaluated.count((gp.table.ids[lit("a")],)) == len(domain)
+
+    def test_deep_program_is_searched_without_recursion(self):
+        # over 1,000 frozen components below an even loop; the chain changes
+        # neither the guess domain nor the loop's answer sets
+        loop = "a <- not b. b <- not a. c0 <- a. c1 <- c0. [ifn(0.99,1)] "
+        chain = " ".join(f"c{i} <- c{i - 1}. [ifn(0.99,1)]" for i in range(2, 1201))
+        gp = ground(parse(loop + chain))
+        assert len(gp.frozen_components) > 1_000
+        deep, short = solve(gp), solve(parse(loop))
+        assert [c.status for c in deep.candidates] == [c.status for c in short.candidates]
+
+        def loop_values(report):
+            return [(m.value(lit("a")), m.value(lit("b"))) for m in report.answer_sets]
+
+        assert loop_values(deep) == loop_values(short)
+        assert len(deep.answer_sets) == 10
+        end = {m.value(lit("a")): m.value(lit("c1200")) for m in deep.answer_sets}
+        assert equal(end[TRUE], ifn(0.99**1200, 1))
+        assert equal(end[FALSE], FALSE)
 
 
 class TestKnownDefects:
