@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import oracle as oracle_mod
 from .errors import FuzzyAspError, ParseError
@@ -114,7 +114,7 @@ def _cmd_solve(args) -> int:
     )
 
     if args.json:
-        print(json.dumps(_report_json(report, args.trace), indent=2))
+        print(_report_text(report, args.trace))
     else:
         for n, interp in enumerate(report.answer_sets, 1):
             print(f"answer set {n}:")
@@ -138,36 +138,84 @@ def _sorted_by_name(interp) -> list:
     return sorted(zip(interp.table.names, interp.values), key=lambda item: item[0])
 
 
-def _value_json(v: FuzzyTruth) -> dict:
-    m = measure(v)
-    return {**v._asdict(), "truncated": v.truncated, "t": m.t, "k": m.k}
+def _float_text(x: float) -> str:
+    """A float as ``json.dumps`` writes it: its repr, or NaN, Infinity or -Infinity."""
+    if -math.inf < x < math.inf:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _report_json(report, with_trace: bool) -> dict:
-    doc = {
-        "answer_sets": [
-            {name: _value_json(v) for name, v in _sorted_by_name(interp)}
-            for interp in report.answer_sets
-        ],
-        "candidates": [
-            {
-                "status": c.status.value,
-                "detail": None if c.detail is None else str(c.detail),
-            }
-            for c in report.candidates
-        ],
-        "iterations": report.iterations,
-        "guess_depth": report.guess_depth,
-    }
+def _json_block(open_: str, close: str, items: list, indent: str) -> str:
+    """A JSON object or array of rendered ``items``, closed at ``indent``."""
+    if not items:
+        return open_ + close
+    inner = indent + "  "
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+# the indent at which an answer set, a candidate and a trace round close;
+# their members sit one level deeper
+_ENTRY = "    "
+# the rest of one literal's member after its encoded name
+_VALUE_MEMBER = ": " + _json_block(
+    "{", "}", [f'"{key}": %s' for key in ("a", "b", "c", "d", "truncated", "t", "k")], _ENTRY + "  "
+)
+_ROUND_MEMBER = ": " + _json_block("[", "]", ["%s"] * 5, _ENTRY + "  ")
+
+
+def _report_text(report, with_trace: bool) -> str:
+    """The report as ``json.dumps(doc, indent=2)`` writes it, doc being
+
+    ``{"answer_sets": [{name: {"a", "b", "c", "d", "truncated", "t", "k"}}],
+    "candidates": [{"status", "detail"}], "iterations", "guess_depth"}``,
+    with ``"trace": [{name: [a, b, c, d, truncated]}]`` after them when
+    ``with_trace``.  Answer-set literals are sorted by name, trace literals
+    are in id order.  The schema is fixed, so only the leaves are encoded:
+    names by json's C string encoder, floats by :func:`_float_text`.
+    Every answer set and trace round is on the ground program's one
+    literal table, so its names are sorted and encoded once.
+    """
+    answer_sets = []
+    if report.answer_sets:
+        names = report.answer_sets[0].table.names
+        by_name = [(i, _json_string(names[i])) for i in sorted(range(len(names)), key=names.__getitem__)]
+        for interp in report.answer_sets:
+            values = interp.values
+            literals = []
+            for i, name in by_name:
+                v = values[i]
+                m = measure(v)
+                literals.append(name + _VALUE_MEMBER % (
+                    *map(_float_text, v), _JSON_BOOL[v.truncated], _float_text(m.t), _float_text(m.k),
+                ))
+            answer_sets.append(_json_block("{", "}", literals, _ENTRY))
+    candidates = [
+        _json_block("{", "}", [
+            f'"status": {_json_string(c.status.value)}',
+            f'"detail": {"null" if c.detail is None else _json_string(str(c.detail))}',
+        ], _ENTRY)
+        for c in report.candidates
+    ]
+    depth = report.guess_depth
+    members = [
+        f'"answer_sets": {_json_block("[", "]", answer_sets, "  ")}',
+        f'"candidates": {_json_block("[", "]", candidates, "  ")}',
+        f'"iterations": {report.iterations}',
+        f'"guess_depth": {"null" if depth is None else depth}',
+    ]
     if with_trace:
-        doc["trace"] = [
-            {
-                name: [*v, v.truncated]
-                for name, v in zip(snapshot.table.names, snapshot.values)
-            }
-            for snapshot in report.trace
-        ]
-    return doc
+        rounds = []
+        if report.trace:
+            in_id_order = [_json_string(name) for name in report.trace[0].table.names]
+            for snapshot in report.trace:
+                rounds.append(_json_block("{", "}", [
+                    name + _ROUND_MEMBER % (*map(_float_text, v), _JSON_BOOL[v.truncated])
+                    for name, v in zip(in_id_order, snapshot.values)
+                ], _ENTRY))
+        members.append(f'"trace": {_json_block("[", "]", rounds, "  ")}')
+    return _json_block("{", "}", members, "")
 
 
 def _cmd_parse_only(args) -> int:

@@ -276,13 +276,17 @@ class TestSolveCommand:
             "tests/fixtures/crisp_loop3.fasp",
             "tests/fixtures/weighted_loop.fasp",
             "tests/fixtures/naf_strata.fasp",
+            "tests/fixtures/crisp_loop3.fasp --trace",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):
-        # pins the answer-set order and every printed value, byte for byte
+        # pins the answer-set order and every printed value, byte for byte;
+        # a flag adds its name to the golden file's: crisp_loop3_solve_trace.json
+        program, *flags = program.split()
         root = pathlib.Path(__file__).resolve().parent.parent
-        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve.json"
-        code, out, _ = run(capsys, "solve", str(root / program), "--json")
+        suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
+        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve{suffix}.json"
+        code, out, _ = run(capsys, "solve", str(root / program), "--json", *flags)
         assert code == 0
         assert out == golden.read_text()
 
