@@ -277,6 +277,9 @@ class TestSolveCommand:
             "tests/fixtures/weighted_loop.fasp",
             "tests/fixtures/naf_strata.fasp",
             "tests/fixtures/crisp_loop3.fasp --trace",
+            "tests/fixtures/fuzzy_args.fasp",
+            "tests/fixtures/truncated_paths.fasp",
+            "tests/fixtures/truncated_paths.fasp --trace",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):
