@@ -16,6 +16,12 @@ one exception is a tie at zero, where ``min`` and ``max`` return the
 path of ``conj`` reproduces that choice (``disj`` needs nothing, since
 ``1 - x`` is never ``-0.0``).
 
+The solver's body kernel (``solver._body`` and ``solver._contribution``)
+computes the same restricted forms in place, on float parameters, and calls
+:func:`_product` and :func:`_finite` for the general one.
+``tests/test_kernel.py`` holds it to the fold through ``conj`` and ``disj``
+bit for bit.
+
 Every value ``conj`` and ``disj`` return has finite parameters, as
 :func:`~fuzzyasp.truthspace.make` requires of its input.  Only the general
 form can overflow, on a truncated operand with a huge support; it then

@@ -61,7 +61,7 @@ def truth_degree(x: FuzzyTruth) -> float:
     if k <= 0.0:
         # Dirac case: all mass at the (necessarily degenerate) core.
         return b
-    if not x.truncated:
+    if not (a < 0.0 or d > 1.0):  # not truncated; x may be a plain tuple
         # ((d^3-c^3)/(d-c) - (b^3-a^3)/(b-a)) / (3(d+c-b-a)) with the 0/0
         # removed algebraically and regrouped as a convex combination of the
         # two triangle means, which avoids cancellation for thin shapes.

@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .connectives import conj, disj, kagg, naf, negate
+from .connectives import _finite, _product, conj, kagg, naf, negate
 from .errors import (
     AggregationTie,
     ClosureTooLarge,
@@ -154,18 +154,35 @@ def eval_body(i: Interpretation, rule: Rule) -> FuzzyTruth:
     return conj(TRUE if acc is None else acc, rule.weight)
 
 
-def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None) -> FuzzyTruth:
-    """:func:`eval_body` of a compiled body; ``naf_values`` freezes its naf items."""
-    acc = None
+def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None) -> tuple:
+    """:func:`eval_body` of a compiled body, as its ``(a, b, c, d)`` tuple.
+
+    ``naf_values`` freezes its naf items.  This is the solver's one body
+    kernel.  The conjunction is folded on float parameters: the restricted
+    form of :func:`~fuzzyasp.connectives.conj` in place, with the same bits
+    and the same zero rule, and its general form (which raises
+    OrderViolation on overflow) only when an operand is truncated.
+    """
+    a = None
     for kind, x in body:
         if kind == LIT:
-            v = values[x]
+            ya, yb, yc, yd = values[x]
         elif kind == NAF:
-            v = naf(values[x]) if naf_values is None else naf_values[x]
+            ya, yb, yc, yd = naf(values[x]) if naf_values is None else naf_values[x]
         else:
-            v = x
-        acc = v if acc is None else conj(acc, v)
-    return conj(TRUE if acc is None else acc, weight)
+            ya, yb, yc, yd = x
+        if a is None:
+            a, b, c, d = ya, yb, yc, yd
+        elif 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
+            a, b, c, d = a * ya, b * yb, c * yc or b * yb, d * yd or a * ya
+        else:
+            a, b, c, d = _finite(*_product(a, b, c, d, ya, yb, yc, yd))
+    if a is None:  # an empty body is TRUE
+        a = b = c = d = 1.0
+    ya, yb, yc, yd = weight
+    if 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
+        return a * ya, b * yb, c * yc or b * yb, d * yd or a * ya
+    return _finite(*_product(a, b, c, d, ya, yb, yc, yd))
 
 
 def satisfies(i: Interpretation, rule: Rule, eps: float = DEFAULT_EPS) -> bool:
@@ -182,12 +199,31 @@ def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
 
 
 def _contribution(values: list, rules: tuple, naf_values) -> FuzzyTruth:
-    """Disjunction fold (program order) of the body values of one head's rules."""
-    acc = None
+    """Disjunction fold (program order) of the body values of one head's rules.
+
+    The restricted form of :func:`~fuzzyasp.connectives.disj` is taken in
+    place on the parameters of :func:`_body`, so one value is built per
+    head; a truncated operand takes its general form.
+    """
+    a = None
     for body, weight in rules:
-        v = _body(values, body, weight, naf_values)
-        acc = v if acc is None else disj(acc, v)
-    return acc
+        ya, yb, yc, yd = _body(values, body, weight, naf_values)
+        if a is None:
+            a, b, c, d = ya, yb, yc, yd
+        elif 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
+            a, b, c, d = (
+                1.0 - (1.0 - a) * (1.0 - ya),
+                1.0 - (1.0 - b) * (1.0 - yb),
+                1.0 - (1.0 - c) * (1.0 - yc),
+                1.0 - (1.0 - d) * (1.0 - yd),
+            )
+        else:
+            pa, pb, pc, pd = _product(
+                1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a,
+                1.0 - yd, 1.0 - yc, 1.0 - yb, 1.0 - ya,
+            )
+            a, b, c, d = _finite(1.0 - pd, 1.0 - pc, 1.0 - pb, 1.0 - pa)
+    return FuzzyTruth(a, b, c, d)
 
 
 def _target(values: list, own: tuple, against: tuple, naf_values, eps: float) -> FuzzyTruth:
