@@ -1,16 +1,18 @@
 """Independent numeric checks: quadrature, Monte Carlo, operator closure.
 
 The quadrature and Monte Carlo checks are the correctness yardstick for the
-closed-form measures and the solver's brute-force tests.  :func:`closure_enumerate`
-is also on the solve path: the solver draws its naf guess domain from it on
-every program with a cycle through naf.  numpy and scipy are imported inside
-the numeric checks only, so the solver's use of :func:`closure_enumerate`
-(and importing the CLI) does not load them.
+closed-form measures and the solver's brute-force tests.  The operator
+closure is also on the solve path: on every program with a cycle through
+naf the solver draws its naf guess domain from :func:`closure_levels`, the
+level-by-level stream that :func:`closure_enumerate` collects, and stops it
+once the domain is too large.  numpy and scipy are imported inside the
+numeric checks only, so the solver's use of the closure (and importing the
+CLI) does not load them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .connectives import conj, disj, naf, negate
 from .errors import ClosureTooLarge, OracleArgumentError, OrderViolation, QuadratureFailure
@@ -116,9 +118,9 @@ def closure_enumerate(
     ``disj`` and ``kagg`` to every ordered pair, and keeps the first value
     produced for each ``_key``; a ``conj`` or ``disj`` that overflows
     (OrderViolation) and an aggregation tie are skipped (that pair simply
-    has no such combination).  The loop leaves out results that cannot
-    enter the closure, so its values, their order and their bits are those
-    of the full loop:
+    has no such combination).  The loop, :func:`closure_levels`, leaves out
+    results that cannot enter the closure, so its values, their order and
+    their bits are those of the full loop:
 
     - ``kagg`` returns one of its operands, which is stored under its own
       key already, so it never runs.
@@ -132,23 +134,67 @@ def closure_enumerate(
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, and
     ClosureTooLarge past ``cap`` values.
     """
+    return tuple(v for _, v in closure_levels(weights, depth, cap))
+
+
+class _Rounded(dict):
+    """``round(x, 9)`` of each float looked up, computed once.
+
+    Keyed by float, so ``-0.0`` and ``0.0`` share one entry: a key built
+    from it may hold the other zero, which ``==`` does not tell apart.
+    """
+
+    def __missing__(self, x: float) -> float:
+        r = self[x] = round(x, 9)
+        return r
+
+
+def closure_levels(
+    weights, depth: int, cap: int = 100_000
+) -> Iterator[tuple[int, FuzzyTruth]]:
+    """Yield ``(level, value)`` for each value of the closure, as it is keyed.
+
+    Level 0 is the seeds, level n what the n-th round of connectives adds;
+    the values come in the order of :func:`closure_enumerate`, which
+    collects them, and a run to depth d is the first part of a run to any
+    greater depth.  ClosureTooLarge is raised after the pair that takes the
+    closure past ``cap`` values, once the values keyed before it were
+    yielded.  Within one run the rounding in ``_key`` is memoised: a
+    closure has far fewer distinct floats than parameters.
+
+    Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, as the
+    first value is asked for.
+    """
     if depth < 0:
         raise OracleArgumentError("depth must be non-negative")
     if depth > 4:
         raise OracleArgumentError("depth must be at most 4")
     if cap < 1:
         raise OracleArgumentError("the cap must be at least 1")
+    rounded = _Rounded()
+
+    def key(x: FuzzyTruth) -> tuple:
+        # _key's tuple, up to the sign of a zero
+        a, b, c, d = x
+        return (rounded[a], rounded[b], rounded[c], rounded[d], a < 0.0 or d > 1.0)
+
     values: dict[tuple, FuzzyTruth] = {}
     for w in weights:
-        values.setdefault(_key(w), w)
+        k = key(w)
+        if k not in values:
+            values[k] = w
+            yield 0, w
     seen = set(values.values())
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         current = list(values.values())
         for v in current:
             for p in (negate(v), naf(v)):
                 if p not in seen:
                     seen.add(p)
-                    values.setdefault(_key(p), p)
+                    k = key(p)
+                    if k not in values:
+                        values[k] = p
+                        yield level, p
         for i, v in enumerate(current):
             for w in current[i:]:
                 for op in (conj, disj):
@@ -158,9 +204,11 @@ def closure_enumerate(
                         continue
                     if p not in seen:
                         seen.add(p)
-                        values.setdefault(_key(p), p)
+                        k = key(p)
+                        if k not in values:
+                            values[k] = p
+                            yield level, p
                 if len(values) > cap:
                     raise ClosureTooLarge(f"closure exceeded {cap} values")
         if len(values) == len(current):
             break
-    return tuple(values.values())

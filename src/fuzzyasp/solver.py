@@ -532,13 +532,22 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
 
     The seeds, TRUE, UNKNOWN and each rule's weight and inline values, are
     taken in program order, not hash order.  The closure is taken at
-    operator depth ``depth``, lowered one step at a time while it exceeds
-    the closure cap or while ``len(domain) ** slots`` exceeds
-    ``max_guesses``, but never below 1 for the second reason: there
-    GuessLimitExceeded is raised instead.  Returns (domain, depth used);
-    depth 0 means the bare seeds.
+    operator depth ``depth``, or at the greatest lower one whose closure
+    stays within the closure cap and whose ``len(domain) ** slots`` fits
+    ``max_guesses``; but it is never lowered below 1 for the second reason:
+    there GuessLimitExceeded is raised instead.  Returns (domain, depth
+    used); depth 0 means the bare seeds.
+
+    The closure and its naf image are built once, level by level from
+    :func:`~fuzzyasp.oracle.closure_levels`: the closure at depth d is the
+    first part of the one at d + 1, so its domain is the first part of that
+    domain.  From level 2 on, the first domain value past ``max_guesses``
+    or a ClosureTooLarge ends the run, and the domain is cut back to the
+    level before.  Level 1 always runs to its end, so the count in
+    GuessLimitExceeded is that of depth 1 (or of the seeds, when level 1
+    exceeds the cap).  Raises OracleArgumentError unless 0 <= depth <= 4.
     """
-    from .oracle import closure_enumerate
+    from .oracle import closure_levels
 
     seeds = dict.fromkeys((TRUE, UNKNOWN))
     for _, body, weight in gp.compiled:
@@ -546,24 +555,34 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
         for kind, x in body:
             if kind == VALUE:
                 seeds[x] = None
-    while True:
-        if depth >= 1:
-            try:
-                closure = closure_enumerate(seeds, depth)
-            except ClosureTooLarge:
-                depth -= 1
-                continue
-        else:
-            closure = tuple(seeds)
-        domain: dict[float, FuzzyTruth] = {}
-        for v in closure:
+    domain: dict[float, FuzzyTruth] = {}
+    if depth != 0:
+        level = start = 0  # the level being read, and len(domain) as it started
+        end = None  # the level that ended the run early
+        try:
+            for level_of_v, v in closure_levels(seeds, depth):
+                if level_of_v > level:
+                    level, start = level_of_v, len(domain)
+                key = round(1.0 - v.b, 9)
+                if key not in domain:
+                    domain[key] = naf(v)
+                    if level >= 2 and len(domain) ** slots > max_guesses:
+                        end = level
+                        break
+        except ClosureTooLarge:
+            # raised in the level of the last value yielded, or in level 1
+            end = max(level, 1)
+        if end is not None:
+            depth = end - 1
+            domain = dict(itertools.islice(domain.items(), start))
+    if depth == 0:
+        domain = {}
+        for v in seeds:
             domain.setdefault(round(1.0 - v.b, 9), naf(v))
-        guesses = len(domain) ** slots
-        if guesses <= max_guesses:
-            return list(domain.values()), depth
-        if depth <= 1:
-            raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
-        depth -= 1
+    guesses = len(domain) ** slots
+    if guesses > max_guesses:
+        raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
+    return list(domain.values()), depth
 
 
 def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_iter: int):
@@ -680,9 +699,11 @@ def solve(
     only candidate.  When a dependency cycle runs through naf, the
     self-consistent guesses follow.  A guess is a frozen naf assignment,
     from each naf literal id to a value of the naf image of the operator
-    closure of the program weights (depth ``guess_depth``, lowered until
-    the joint guesses, ``len(domain) ** len(gp.naf_ids)``, fit in
-    ``max_guesses``; GuessLimitExceeded when even depth 1 does not).  Its
+    closure of the program weights (depth ``guess_depth``, 0 to 4, else
+    OracleArgumentError; lowered while the closure exceeds its cap or the
+    joint guesses, ``len(domain) ** len(gp.naf_ids)``, exceed
+    ``max_guesses``; GuessLimitExceeded when even depth 1 does not fit,
+    see :func:`_naf_guess_domain`).  Its
     frozen fixpoint, evaluated in the finer order where naf is no
     dependency, is a candidate when its own naf values are the guess; one
     that is inconsistent, does not converge or raises some head's

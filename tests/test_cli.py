@@ -280,6 +280,7 @@ class TestSolveCommand:
             "tests/fixtures/fuzzy_args.fasp",
             "tests/fixtures/truncated_paths.fasp",
             "tests/fixtures/truncated_paths.fasp --trace",
+            "tests/fixtures/closure_cap.fasp",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):

@@ -1,7 +1,9 @@
+import functools
 import json
 import logging
 import pathlib
 import random
+import struct
 
 import hypothesis.strategies as st
 import pytest
@@ -14,9 +16,13 @@ from fuzzyasp import (
     Atom,
     ClosureTooLarge,
     FuzzyAspError,
+    GroundProgram,
     GuessLimitExceeded,
     Interpretation,
     Literal,
+    Naf,
+    OracleArgumentError,
+    Rule,
     Status,
     conj,
     equal,
@@ -40,8 +46,10 @@ from fuzzyasp import (
     uncertainty_degree,
     verify_answer_set,
 )
+from fuzzyasp.program import VALUE
 
 from bruteforce_oracle import joint_solve
+from test_oracle import seed_values
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -517,27 +525,16 @@ class TestGuessLimits:
     def test_no_guessing_without_a_naf_cycle(self):
         assert solve(parse("b. a <- b, not c."), max_guesses=0).guess_depth is None
 
-    def test_closure_cap_lowers_the_depth(self, monkeypatch):
-        # five distinct weights: the depth-3 closure exceeds the closure cap,
-        # and the 1471 naf values of the depth-2 one give 1471**2 guesses
-        depths = []
-        closure_enumerate = oracle.closure_enumerate
+    # five distinct weights: the depth-3 closure exceeds the closure cap,
+    # and the 1471 naf values of the depth-2 one give 1471**2 guesses
+    FIVE_WEIGHTS = (
+        "a <- not b. [ifn(0.11,0.11)] b <- not a. [ifn(0.13,0.13)] "
+        "c. [ifn(0.17,0.17)] d. [ifn(0.19,0.19)] e. [ifn(0.23,0.23)]"
+    )
 
-        def spy(values, depth, **kwargs):
-            try:
-                closure = closure_enumerate(values, depth, **kwargs)
-            except ClosureTooLarge:
-                depths.append((depth, "too large"))
-                raise
-            depths.append((depth, len(closure)))
-            return closure
-
-        monkeypatch.setattr(oracle, "closure_enumerate", spy)
-        report = solve(parse(
-            "a <- not b. [ifn(0.11,0.11)] b <- not a. [ifn(0.13,0.13)] "
-            "c. [ifn(0.17,0.17)] d. [ifn(0.19,0.19)] e. [ifn(0.23,0.23)]"
-        ))
-        assert depths == [(3, "too large"), (2, 2222), (1, 53)]
+    def test_closure_cap_lowers_the_depth(self):
+        # the guess limit cuts level 2, so level 3 never reaches the cap
+        report = solve(parse(self.FIVE_WEIGHTS))
         assert report.guess_depth == 1
         # a = 0.11 (1 - b) and b = 0.13 (1 - a)
         a = 0.11 * (1 - 0.13) / (1 - 0.11 * 0.13)
@@ -546,12 +543,114 @@ class TestGuessLimits:
         for name, v in dict(a=a, b=b, c=0.17, d=0.19, e=0.23).items():
             assert equal(model.value(lit(name)), ifn(v, v))
 
+    def test_closure_cap_alone_lowers_the_depth(self):
+        # 1471**2 guesses fit 10**7, so only the cap keeps depth 3 out
+        gp = ground(parse(self.FIVE_WEIGHTS))
+        with pytest.raises(ClosureTooLarge):
+            oracle.closure_enumerate(guess_seeds(gp), 3)
+        assert len(oracle.closure_enumerate(guess_seeds(gp), 2)) == 2222
+        domain, depth = solver._naf_guess_domain(gp, 3, 2, 10**7)
+        assert (len(domain), depth) == (1471, 2)
+
+    def test_closure_cap_in_level_one_guesses_the_seeds(self, monkeypatch):
+        # TRUE, UNKNOWN and FALSE are closed under the connectives, so level
+        # 1 keys no value before its first pair passes the cap of 2
+        capped = functools.partial(oracle.closure_levels, cap=2)
+        monkeypatch.setattr(oracle, "closure_levels", capped)
+        gp = ground(parse("a <- not a. [ifn(0,0)]"))
+        assert solver._naf_guess_domain(gp, 3, 1, 100) == ([FALSE, TRUE], 0)
+
+    @pytest.mark.parametrize("depth, message", [(-1, "non-negative"), (5, "at most 4")])
+    def test_depth_out_of_range(self, depth, message):
+        with pytest.raises(OracleArgumentError, match=f"depth must be {message}"):
+            solve(parse(self.WEIGHTED_LOOP), guess_depth=depth)
+
     def test_depth_zero_guesses_the_seeds(self):
         # the bare seeds TRUE and UNKNOWN give the crisp naf values 0 and 1
         report = solve(parse("a <- not b. b <- not a."), guess_depth=0)
         assert report.guess_depth == 0
         found = {(m.value(lit("a")), m.value(lit("b"))) for m in report.answer_sets}
         assert found == {(TRUE, FALSE), (FALSE, TRUE)}
+
+
+def guess_seeds(gp):
+    """TRUE, UNKNOWN and each rule's weight and inline values, in program order."""
+    seeds = dict.fromkeys((TRUE, UNKNOWN))
+    for _, body, weight in gp.compiled:
+        seeds[weight] = None
+        for kind, x in body:
+            if kind == VALUE:
+                seeds[x] = None
+    return seeds
+
+
+def retry_guess_domain(gp, depth, slots, max_guesses):
+    """The guess domain loop before it read the closure level by level,
+    kept as the reference: one ``closure_enumerate`` call per depth tried,
+    from ``depth`` down, below 1 only when depth 1 exceeds the cap."""
+    seeds = guess_seeds(gp)
+    while True:
+        if depth >= 1:
+            try:
+                closure = oracle.closure_enumerate(seeds, depth)
+            except ClosureTooLarge:
+                depth -= 1
+                continue
+        else:
+            closure = tuple(seeds)
+        domain = {}
+        for v in closure:
+            domain.setdefault(round(1.0 - v.b, 9), naf(v))
+        guesses = len(domain) ** slots
+        if guesses <= max_guesses:
+            return list(domain.values()), depth
+        if depth <= 1:
+            raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
+        depth -= 1
+
+
+def _domain_outcome(run):
+    """The depth and packed domain values, or the error's type and message."""
+    try:
+        domain, depth = run()
+    except FuzzyAspError as exc:
+        return type(exc).__name__, str(exc)
+    return depth, [struct.pack("4d", *v) for v in domain]
+
+
+def _seeded_loop(weights):
+    """A naf loop whose rule weights and one inline value are ``weights``."""
+    a, b = lit("a"), lit("b")
+    rules = [Rule(a, (Naf(b),), weights[0]), Rule(b, (Naf(a), *weights[1:2]))]
+    rules += [Rule(lit(f"c{i}"), (), w) for i, w in enumerate(weights[2:])]
+    return GroundProgram(rules)
+
+
+_FIVE_WEIGHTS = [rule.weight for rule in parse(TestGuessLimits.FIVE_WEIGHTS).rules]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(seed_values(), min_size=1, max_size=3),
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.sampled_from([0, 1, 24, 25, 224, 225, 17160, 17161, 100_000]),
+)
+@example([ifn(0.5, 0.5)], 3, 2, 17161)
+@example([ifn(0.5, 0.5)], 3, 2, 17160)
+@example([ifn(0.5, 0.5)], 4, 2, 224)
+@example([ifn(0.5, 0.5)], 3, 2, 24)
+@example([tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1)], 4, 1, 100_000)
+@example([trfn(-1e300, 0.5, 0.5, 1e300)], 4, 3, 100_000)
+@example(_FIVE_WEIGHTS, 3, 2, 100_000)  # the guess limit cuts level 2
+@example(_FIVE_WEIGHTS, 3, 1, 100_000)  # the cap ends level 3
+def test_guess_domain_matches_the_retry_loop(weights, depth, slots, max_guesses):
+    # same values in the same order, bit for bit, and the same depth, or
+    # the same error
+    gp = _seeded_loop(weights)
+    assert _domain_outcome(
+        lambda: solver._naf_guess_domain(gp, depth, slots, max_guesses)
+    ) == _domain_outcome(lambda: retry_guess_domain(gp, depth, slots, max_guesses))
 
 
 # restricted and truncated weights; "" is none, and is drawn most often
