@@ -281,6 +281,7 @@ class TestSolveCommand:
             "tests/fixtures/truncated_paths.fasp",
             "tests/fixtures/truncated_paths.fasp --trace",
             "tests/fixtures/closure_cap.fasp",
+            "tests/fixtures/lexer_edges.fasp",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):
@@ -334,7 +335,10 @@ class TestParseOnly:
         code2, out2, _ = run(capsys, "parse-only", str(path2))
         assert code2 == 0 and out2 == out
 
-    @pytest.mark.parametrize("program", ["programs/flying.fasp", "tests/fixtures/fuzzy_args.fasp"])
+    @pytest.mark.parametrize(
+        "program",
+        ["programs/flying.fasp", "tests/fixtures/fuzzy_args.fasp", "tests/fixtures/lexer_edges.fasp"],
+    )
     def test_output_matches_golden_file(self, capsys, program):
         # pins the ground rule order and every rendered rule, byte for byte:
         # a constant keeps its own spelling (tfn(0.0,...) beside tfn(-0.0,...))
