@@ -74,12 +74,13 @@ class _EvalParser(_Parser):
     def _unary(self) -> FuzzyTruth:
         # a prefix chain is read in a loop and applied innermost first
         prefixes = []
-        while self.text in ("!", "not"):
-            prefixes.append(negate if self._advance()[1] == "!" else naf)
-        if self.text == "(":
+        while self.texts[self.pos] in ("!", "not"):
+            prefixes.append(negate if self.texts[self.pos] == "!" else naf)
+            self.pos += 1
+        if self.texts[self.pos] == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 self._error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
-            self._advance()
+            self.pos += 1
             self.depth += 1
             value = self._agg()
             self._expect(")")
@@ -250,11 +251,21 @@ def _cmd_order(args) -> int:
     return 0
 
 
+#: the finest lattice ``table --step 1/n`` builds: its rows grow as n**4, and
+#: n = 24 gives 20,475 of them in about a second
+MAX_STEP_DENOMINATOR = 24
+
+
 def _parse_step(text: str) -> int:
     m = re.fullmatch(r"1\s*/\s*(\d+)", text.strip())
-    if not m or int(m.group(1)) < 1:
-        raise ParseError(f"step must be 1/n with integer n >= 1, got {text!r}")
-    return int(m.group(1))
+    # a long digit string is out of range whatever it reads, and int() of
+    # one is slow or refused, so its length is checked first
+    n = int(m.group(1)) if m and len(m.group(1)) <= 9 else 0
+    if not 1 <= n <= MAX_STEP_DENOMINATOR:
+        raise ParseError(
+            f"step must be 1/n with integer n from 1 to {MAX_STEP_DENOMINATOR}, got {text!r}"
+        )
+    return n
 
 
 def _cmd_table(args) -> int:
@@ -342,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("table", help="lattice table of (t, k) pairs")
-    p.add_argument("--step", default="1/3", help="lattice step 1/n (default 1/3)")
+    p.add_argument("--step", default="1/3",
+                   help=f"lattice step 1/n, n from 1 to {MAX_STEP_DENOMINATOR} (default 1/3)")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("oracle", help="numeric verification utilities")

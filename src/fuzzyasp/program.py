@@ -15,12 +15,16 @@ ifn(1,1); an empty body is the fold unit ifn(1,1).  Fuzzy numbers may occur
 as body items (inline evidence) and as inert constants in argument
 positions.  The same tokenizer and ``fuzzy`` production read single values
 (:func:`parse_value`) and the CLI's connective expressions, so every text
-input reports errors with a line and column.  A token is a plain
-``(kind, text, offset)`` tuple; its line and column are worked out from the
-offset only when an error is raised at it.
+input reports errors with a line and column.
 
-Grounding has one entry point, :class:`GroundProgram`, which checks safety,
-collects the universe and compiles every rule instance into literal ids;
+The tokenizer is one ``re.split`` pass, and a token is its text alone: its
+kind follows from the text (:func:`_kind`), and where it starts
+is found by scanning the source again only when an error is raised at it.
+The parser's productions index the list of texts in place.
+
+Grounding has one entry point, :class:`GroundProgram`, which walks each
+rule once to check its safety, add its constants to the universe and plan
+its instances, then compiles every rule instance into literal ids;
 :func:`ground` applies it to a parsed program.
 """
 
@@ -226,62 +230,27 @@ class GroundProgram:
     """
 
     def __init__(self, rules=()):
-        rules = tuple(rules)
         universe: dict = {}
-        for rule in rules:
-            for literal in _rule_literals(rule):
-                for term in literal.atom.args:
-                    if not isinstance(term, Var):
-                        universe.setdefault(term, len(universe))
-        for rule in rules:
-            _check_safety(rule)
-        self._compile(rules, universe)
+        templates = tuple(_template(rule, universe) for rule in rules)
+        self._compile(templates, universe)
 
-    def _compile(self, rules: tuple, universe: dict):
+    def _compile(self, templates: tuple, universe: dict):
         """Give every ground literal its id and compile each rule instance.
 
-        ``universe`` maps each term to its index, in first-occurrence order.
-        Each rule has an instance per binding of its variables (sorted by
-        name) to the universe's terms, in :func:`itertools.product` order.
-        Where each variable and constant of a rule sits is worked out once
-        per rule; each ground literal is then looked up under the key
-        ``(predicate, negated, indices of its arguments)``, which hashes
-        without calling back into Python, and its Literal is built only the
-        first time its key turns up.
+        ``universe`` maps each term to its index, in first-occurrence order,
+        and ``templates`` holds what :func:`_template` worked out once per
+        rule.  Each rule has an instance per binding of its variables
+        (sorted by name) to the universe's terms, in
+        :func:`itertools.product` order.  Each ground literal is looked up
+        under the key ``(predicate, negated, indices of its arguments)``,
+        which hashes without calling back into Python, and its Literal is
+        built only the first time its key turns up.
         """
         terms = tuple(universe)
         ids: dict = {}
         literals: list = []
         compiled: list = []
-        templates: list = []
-        for rule in rules:
-            variables = _rule_variables(rule)
-            slot = {name: i for i, name in enumerate(variables)}
-            k = len(variables)
-            const_ids: list = []
-            const_terms: list = []
-            # per item: (kind, literal or value, key when it has no variable,
-            # picker of its arguments out of a binding followed by the constants)
-            specs = []
-            for kind, x in _items(rule):
-                if kind == VALUE:
-                    specs.append((kind, x, None, None))
-                    continue
-                positions, args = [], []
-                for t in x.atom.args:
-                    if isinstance(t, Var):
-                        positions.append(slot[t.name])
-                    else:
-                        positions.append(k + len(const_ids))
-                        args.append(universe[t])
-                        const_ids.append(args[-1])
-                        const_terms.append(t)
-                if len(args) == len(positions):  # no variable: one key for every binding
-                    specs.append((kind, x, (x.atom.predicate, x.negated, tuple(args)), None))
-                else:
-                    specs.append((kind, x, None, _picker(positions)))
-            const_ids, const_terms = tuple(const_ids), tuple(const_terms)
-            templates.append((rule, k, specs, const_terms))
+        for rule, k, specs, const_ids, const_terms in templates:
             weight = rule.weight
             for combo in itertools.product(range(len(terms)), repeat=k):
                 at = combo + const_ids
@@ -300,7 +269,7 @@ class GroundProgram:
                         x = i
                     items.append((kind, x))
                 compiled.append((items[0][1], tuple(items[1:]), weight))
-        self._templates, self._terms = tuple(templates), terms
+        self._templates, self._terms = templates, terms
         self.table = LiteralTable(
             literals, tuple(ids.get((p, not n, a), -1) for p, n, a in ids)
         )
@@ -318,7 +287,7 @@ class GroundProgram:
     def rules(self) -> tuple:
         """The ground rules in program order; a rule without variables is itself."""
         rules = []
-        for rule, k, specs, const_terms in self._templates:
+        for rule, k, specs, _, const_terms in self._templates:
             if not k:
                 rules.append(rule)
                 continue
@@ -395,6 +364,64 @@ class GroundProgram:
         return tuple(components)
 
 
+def _template(rule: Rule, universe: dict) -> tuple:
+    """One walk over ``rule``: ``(rule, k, specs, const_ids, const_terms)``.
+
+    Each constant in an argument position that ``universe`` lacks gets the
+    next index there, head first, then the body in written order.  Raises
+    UnsafeRule, naming the first such variable in name order, when a head or naf
+    variable has no positive body occurrence.  ``k`` counts the variables;
+    a binding of them, sorted by name, followed by ``const_ids`` is what
+    ``pick`` reads.  ``specs`` has per item (head first) ``(kind, literal
+    or value, key, pick)``: a literal without variables has its one key,
+    one with variables the picker of its arguments' indices.  The
+    constants of those literals are at ``const_ids``, and as written in
+    ``const_terms``.
+    """
+    specs: list = []
+    with_variables = []  # (index in specs, kind, literal, universe index or None per argument)
+    positive: set = set()  # variables of positive body literals
+    needed: set = set()  # variables of the head and naf literals
+    for n, x in enumerate((rule.head, *rule.body)):
+        if isinstance(x, FuzzyTruth):
+            specs.append((VALUE, x, None, None))
+            continue
+        kind, literal = (NAF, x.literal) if isinstance(x, Naf) else (LIT, x)
+        atom = literal.atom
+        indices = []
+        for t in atom.args:
+            if isinstance(t, Var):
+                (positive if n and kind == LIT else needed).add(t.name)
+                indices.append(None)
+            else:
+                indices.append(universe.setdefault(t, len(universe)))
+        if None in indices:
+            with_variables.append((len(specs), kind, literal, indices))
+            specs.append(None)
+        else:  # one key for every binding
+            specs.append((kind, literal, (atom.predicate, literal.negated, tuple(indices)), None))
+    if not with_variables:
+        return rule, 0, specs, (), ()
+    unsafe = needed - positive
+    if unsafe:
+        raise UnsafeRule(min(unsafe), rule)
+    slot = {name: i for i, name in enumerate(sorted(positive))}
+    k = len(slot)
+    const_ids: list = []
+    const_terms: list = []
+    for at, kind, literal, indices in with_variables:
+        positions = []
+        for t, i in zip(literal.atom.args, indices):
+            if i is None:
+                positions.append(slot[t.name])
+            else:
+                positions.append(k + len(const_ids))
+                const_ids.append(i)
+                const_terms.append(t)
+        specs[at] = (kind, literal, None, _picker(positions))
+    return rule, k, specs, tuple(const_ids), tuple(const_terms)
+
+
 def _picker(positions: list):
     """A function taking the entries at ``positions`` out of a tuple, as a tuple."""
     if len(positions) == 1:
@@ -462,18 +489,26 @@ def _strongly_connected(deps: dict) -> list[tuple[tuple, bool]]:
 # Lexer
 # --------------------------------------------------------------------------
 
+# Group 1 is a token, after any blanks, and group 2 a character that starts
+# no token; any other match is blanks or a comment.  The token alternatives
+# start with different characters, except that ``.`` starts a number when a
+# digit follows and is punctuation otherwise, so only that order matters.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[a-z]\w*)
-  | (?P<var>[A-Z]\w*)
-  | (?P<punct><-|[().,\[\]:/!&|-])
-  | (?P<bad>.)
+    \s*(
+        [a-z]\w*                                                  # identifier
+      | \d+(?:\.\d*)?(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)?   # number
+      | <- | [().,\[\]:/!&|-]                                     # punctuation
+      | [A-Z]\w*                                                  # variable
+    )
+  | \s+
+  | %[^\n]*
+  | (.)
 """,
     re.VERBOSE | re.DOTALL,
 )
+
+_PUNCTUATION = frozenset(["<-", "(", ")", ".", ",", "[", "]", ":", "/", "!", "&", "|", "-"])
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -481,24 +516,49 @@ def _position(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` per token, then ``("eof", "", len(source))``.
+def _tokenize(source: str) -> list[str]:
+    """The text of each token, then ``""`` for the end of input.
 
-    The kind of a number, identifier or variable is ``number``, ``ident`` or
-    ``var``; that of punctuation (``<-`` included) is its text.  Blanks and
-    comments are dropped; any other character is a ParseError.
+    Blanks and comments are dropped; any other character that starts no
+    token is a ParseError, raised before any text is parsed.  A token is
+    its text alone: its kind is :func:`_kind` of it, and where it starts
+    is worked out (:func:`_token_offsets`) only for an error.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        text = m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", *_position(source, m.start()))
-        tokens.append((text if kind == "punct" else kind, text, m.start()))
-    tokens.append(("eof", "", len(source)))
+    # every character is matched, so the pieces between matches are empty
+    # and the groups of each match follow them: (between, token, bad) * n
+    parts = _TOKEN_RE.split(source)
+    if any(parts[2::3]):
+        m = next(m for m in _TOKEN_RE.finditer(source) if m.lastindex == 2)
+        raise ParseError(f"unexpected character {m[2]!r}", *_position(source, m.start()))
+    tokens = list(filter(None, parts[1::3]))
+    tokens.append("")
     return tokens
+
+
+def _token_offsets(source: str) -> list[int]:
+    """Where each token of :func:`_tokenize` starts; the end of input last."""
+    offsets = [m.start(1) for m in _TOKEN_RE.finditer(source) if m.lastindex == 1]
+    offsets.append(len(source))
+    return offsets
+
+
+def _kind(text: str) -> str:
+    """The kind of a token: ``number``, ``ident``, ``var``, ``eof``, or for
+    punctuation (``<-`` included) its text.
+
+    Tokens of different kinds start differently (a number with a digit, or
+    with ``.`` and a digit), so the text decides.  ``"a" <= text < "{"``
+    holds exactly for the texts that start with ``a``-``z``.
+    """
+    if text in _PUNCTUATION:
+        return text
+    if not text:
+        return "eof"
+    if "a" <= text < "{":
+        return "ident"
+    if "A" <= text < "[":
+        return "var"
+    return "number"
 
 
 # --------------------------------------------------------------------------
@@ -506,50 +566,45 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # --------------------------------------------------------------------------
 
 _FUZZY_NAMES = {"ifn": (ifn, 2), "tfn": (tfn, 3), "trfn": (trfn, 4)}
+_RESERVED = frozenset(["not", *_FUZZY_NAMES])
 
 
 class _Parser:
-    """Recursive descent over the token tuples of :func:`_tokenize`.
+    """Recursive descent over the token texts of :func:`_tokenize`.
 
-    ``kind`` and ``text`` are those of the current token.  A token carries
-    only its offset; its line and column are worked out (:func:`_position`)
-    when an error is raised at it.
+    ``texts[pos]`` is the current token.  The productions read and compare
+    texts in place; where one must know a token's kind it tests the text's
+    first character, as :func:`_kind` does.
     """
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _tokenize(source)
+        self.texts = _tokenize(source)
         self.pos = 0
-
-    @property
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    @property
-    def text(self) -> str:
-        return self.tokens[self.pos][1]
-
-    def _advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def _accept(self, text: str) -> bool:
         """Consume the current token when its text is ``text``."""
-        if self.text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def _expect(self, kind: str) -> tuple[str, str, int]:
-        if self.kind != kind:
-            self._error(f"expected {kind!r}, found {self.text!r}")
-        return self._advance()
+    def _expect(self, kind: str):
+        """Consume the current token, which must be of ``kind``."""
+        if _kind(self.texts[self.pos]) != kind:
+            self._expected(kind, self.pos)
+        self.pos += 1
 
-    def _error(self, message: str, tok=None):
-        """Raise a ParseError at ``tok``, by default the current token."""
-        offset = (tok or self.tokens[self.pos])[2]
-        raise ParseError(message, *_position(self.source, offset))
+    def _expected(self, kind: str, at: int):
+        self._error(f"expected {kind!r}, found {self.texts[at]!r}", at)
+
+    def _error(self, message: str, at: int | None = None):
+        """Raise a ParseError at token ``at``, by default the current one."""
+        raise ParseError(message, *self._where(self.pos if at is None else at))
+
+    def _where(self, at: int) -> tuple[int, int]:
+        """The (line, column) of token ``at``."""
+        return _position(self.source, _token_offsets(self.source)[at])
 
     def parse_all(self, read):
         """``read()`` over the whole input: nothing may follow what it reads."""
@@ -559,91 +614,131 @@ class _Parser:
 
     def parse_program(self) -> Program:
         rules = []
-        while self.kind != "eof":
+        end = len(self.texts) - 1
+        while self.pos < end:
             rules.append(self._rule())
         return Program(tuple(rules))
 
     def _rule(self) -> Rule:
+        texts, pos = self.texts, self.pos
         label = None
-        if self.kind == "ident" and self.tokens[self.pos + 1][0] == ":":
-            label = self._advance()[1]
-            self._advance()
+        if texts[pos + 1] == ":" and "a" <= texts[pos] < "{":
+            label = texts[pos]
+            self.pos = pos + 2
         head = self._literal()
         body: list = []
-        if self._accept("<-"):
-            body.append(self._body_item())
-            while self._accept(","):
-                body.append(self._body_item())
-        self._expect(".")
-        weight = TRUE
-        if self._accept("["):
-            weight = self._fuzzy_value()
-            self._expect("]")
+        if texts[self.pos] == "<-":
+            while True:  # item := 'not' literal | literal | fuzzy
+                self.pos += 1
+                text = texts[self.pos]
+                if text == "not":
+                    self.pos += 1
+                    body.append(Naf(self._literal()))
+                elif text in _FUZZY_NAMES:
+                    body.append(self._fuzzy_value())
+                else:
+                    body.append(self._literal())
+                if texts[self.pos] != ",":
+                    break
+        pos = self.pos
+        if texts[pos] != ".":
+            self._expected(".", pos)
+        if texts[pos + 1] != "[":
+            self.pos = pos + 1
+            return Rule(head, tuple(body), TRUE, label)
+        self.pos = pos + 2
+        weight = self._fuzzy_value()
+        if texts[self.pos] != "]":
+            self._expected("]", self.pos)
+        self.pos += 1
         return Rule(head, tuple(body), weight, label)
 
-    def _body_item(self):
-        if self._accept("not"):
-            return Naf(self._literal())
-        if self.text in _FUZZY_NAMES:
-            return self._fuzzy_value()
-        return self._literal()
-
     def _literal(self) -> Literal:
-        negated = self._accept("-")
-        if self.kind != "ident":
-            self._error(f"expected a literal, found {self.text!r}")
-        if self.text in _FUZZY_NAMES:
-            self._error(f"{self.text!r} is reserved for fuzzy literals")
-        if self.text == "not":
-            self._error("'not' is reserved for negation as failure")
-        name = self._advance()[1]
-        args: list = []
-        if self._accept("("):
+        texts, pos = self.texts, self.pos
+        name = texts[pos]
+        negated = name == "-"
+        if negated:
+            pos += 1
+            name = texts[pos]
+        if not "a" <= name < "{":
+            self._error(f"expected a literal, found {name!r}", pos)
+        if name in _RESERVED:
+            if name == "not":
+                self._error("'not' is reserved for negation as failure", pos)
+            self._error(f"{name!r} is reserved for fuzzy literals", pos)
+        if texts[pos + 1] != "(":
+            self.pos = pos + 1
+            return Literal(Atom(name), negated)
+        self.pos = pos + 2
+        args = [self._term()]
+        while texts[self.pos] == ",":
+            self.pos += 1
             args.append(self._term())
-            while self._accept(","):
-                args.append(self._term())
-            self._expect(")")
+        if texts[self.pos] != ")":
+            self._expected(")", self.pos)
+        self.pos += 1
         return Literal(Atom(name, tuple(args)), negated)
 
     def _term(self):
-        if self.kind == "var":
-            return Var(self._advance()[1])
-        if self.kind == "ident":
-            if self.text in _FUZZY_NAMES:
-                return self._fuzzy_value()
-            tok = self._advance()
-            if self.kind == "(":
-                self._error(f"function symbol {tok[1]!r} is not allowed", tok)
-            return Const(tok[1])
-        self._error(f"expected a term, found {self.text!r}")
+        texts, pos = self.texts, self.pos
+        text = texts[pos]
+        if "A" <= text < "[":
+            self.pos = pos + 1
+            return Var(text)
+        if not "a" <= text < "{":
+            self._error(f"expected a term, found {text!r}")
+        if text in _FUZZY_NAMES:
+            return self._fuzzy_value()
+        if texts[pos + 1] == "(":
+            self._error(f"function symbol {text!r} is not allowed")
+        self.pos = pos + 1
+        return Const(text)
 
     def _fuzzy_value(self) -> FuzzyTruth:
-        if self.text not in _FUZZY_NAMES:
-            self._error(f"expected ifn, tfn or trfn, found {self.text!r}")
-        tok = self._advance()
-        ctor, arity = _FUZZY_NAMES[tok[1]]
-        self._expect("(")
-        args = [self._number()]
-        while self._accept(","):
-            args.append(self._number())
-        self._expect(")")
+        """``fuzzy``, its ``number`` parameters read in its loop."""
+        texts, at = self.texts, self.pos
+        name = texts[at]
+        if name not in _FUZZY_NAMES:
+            self._error(f"expected ifn, tfn or trfn, found {name!r}")
+        pos = at + 1
+        if texts[pos] != "(":
+            self._expected("(", pos)
+        args = []
+        while True:  # number := ['-'] decimal ['/' decimal]
+            pos += 1
+            text = texts[pos]
+            sign = 1.0
+            if text == "-":
+                sign = -1.0
+                pos += 1
+                text = texts[pos]
+            if not "0" <= text < ":" and _kind(text) != "number":
+                self._expected("number", pos)
+            value = sign * float(text)
+            pos += 1
+            if texts[pos] == "/":
+                pos += 1
+                text = texts[pos]
+                if not "0" <= text < ":" and _kind(text) != "number":
+                    self._expected("number", pos)
+                divisor = float(text)
+                if divisor == 0.0:
+                    self._error("division by zero", pos)
+                value /= divisor
+                pos += 1
+            args.append(value)
+            if texts[pos] != ",":
+                break
+        if texts[pos] != ")":
+            self._expected(")", pos)
+        self.pos = pos + 1
+        ctor, arity = _FUZZY_NAMES[name]
         if len(args) != arity:
-            self._error(f"{tok[1]} takes {arity} parameters, got {len(args)}", tok)
+            self._error(f"{name} takes {arity} parameters, got {len(args)}", at)
         try:
             return ctor(*args)
         except (OrderViolation, CoreOutOfRange) as exc:
-            raise DomainError(str(exc), *_position(self.source, tok[2])) from exc
-
-    def _number(self) -> float:
-        sign = -1.0 if self._accept("-") else 1.0
-        value = sign * float(self._expect("number")[1])
-        if self._accept("/"):
-            tok = self._expect("number")
-            divisor = float(tok[1])
-            if divisor == 0.0:
-                self._error("division by zero", tok)
-            value /= divisor
-        return value
+            raise DomainError(str(exc), *self._where(at)) from exc
 
 
 def parse(source: str) -> Program:
@@ -666,49 +761,6 @@ def parse_value(text: str) -> FuzzyTruth:
 # --------------------------------------------------------------------------
 # Grounding
 # --------------------------------------------------------------------------
-
-
-def _items(rule: Rule):
-    """(kind, literal or value) of the head, then of each body item in order."""
-    yield LIT, rule.head
-    for item in rule.body:
-        if isinstance(item, FuzzyTruth):
-            yield VALUE, item
-        elif isinstance(item, Naf):
-            yield NAF, item.literal
-        else:
-            yield LIT, item
-
-
-def _rule_literals(rule: Rule):
-    yield rule.head
-    for item in rule.body:
-        if isinstance(item, Naf):
-            yield item.literal
-        elif isinstance(item, Literal):
-            yield item
-
-
-def _variables(literal: Literal) -> set[str]:
-    return {t.name for t in literal.atom.args if isinstance(t, Var)}
-
-
-def _rule_variables(rule: Rule) -> list[str]:
-    return sorted(
-        {t.name for lit in _rule_literals(rule) for t in lit.atom.args if isinstance(t, Var)}
-    )
-
-
-def _check_safety(rule: Rule):
-    positive = set()
-    for item in rule.positive_body:
-        if isinstance(item, Literal):
-            positive |= _variables(item)
-    needed = _variables(rule.head)
-    for lit in rule.naf_body:
-        needed |= _variables(lit)
-    for var in sorted(needed - positive):
-        raise UnsafeRule(var, rule)
 
 
 def ground(program: Program) -> GroundProgram:

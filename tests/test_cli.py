@@ -6,11 +6,12 @@ import random
 import string
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fuzzyasp import DomainError, ParseError, ground, parse, parse_value
-from fuzzyasp.cli import MAX_PAREN_DEPTH, main
+from fuzzyasp.cli import MAX_PAREN_DEPTH, MAX_STEP_DENOMINATOR, main
 from fuzzyasp.solver import DEFAULT_MAX_ITER
 from fuzzyasp.truthspace import DEFAULT_EPS
 
@@ -505,6 +506,20 @@ class TestTable:
     def test_malformed_step(self, capsys):
         code, _, err = run(capsys, "table", "--step", "0.25")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "step",
+        [f"1/{MAX_STEP_DENOMINATOR + 1}", "1/100000000000000000000", "1/" + "9" * 5000, "1/0"],
+    )
+    def test_step_out_of_range_exits_before_building_rows(self, capsys, step):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", "--step", step)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: step must be 1/n with integer n from 1 to {MAX_STEP_DENOMINATOR},"
+            f" got {step!r}\n"
+        )
 
 
 class TestOracleCommand:

@@ -1,8 +1,9 @@
 """The grounder, which compiles instances straight into literal ids, against
 the instantiate-then-compile grounder it replaced.
 
-``reference_ground`` is that grounder, kept as the reference: it builds
-every instance as a Rule by substituting the binding into the rule, then
+``reference_ground`` is that grounder, kept as the reference: it collects
+the universe, checks each rule's safety and builds every instance as a Rule
+by substituting the binding into the rule, each in a walk of its own, then
 numbers the literals in a dict keyed by Literal.  Equal literals written
 differently (``ifn(0.5,0.5)`` and ``trfn(0.5,0.5,0.5,0.5)``, ``0.0`` and
 ``-0.0``) share one id there, and each rule keeps the constants as written.
@@ -28,7 +29,32 @@ from fuzzyasp import (
     ground,
     parse,
 )
-from fuzzyasp.program import LIT, NAF, VALUE, _check_safety, _rule_literals, _variables
+from fuzzyasp.program import LIT, NAF, VALUE
+
+
+def _rule_literals(rule):
+    yield rule.head
+    for item in rule.body:
+        if isinstance(item, Naf):
+            yield item.literal
+        elif isinstance(item, Literal):
+            yield item
+
+
+def _variables(literal) -> set:
+    return {t.name for t in literal.atom.args if isinstance(t, Var)}
+
+
+def _check_safety(rule):
+    positive = set()
+    for item in rule.positive_body:
+        if isinstance(item, Literal):
+            positive |= _variables(item)
+    needed = _variables(rule.head)
+    for lit in rule.naf_body:
+        needed |= _variables(lit)
+    for var in sorted(needed - positive):
+        raise UnsafeRule(var, rule)
 
 
 def _substitute_literal(literal, binding):

@@ -1,10 +1,12 @@
-"""The tokenizer, which yields ``(kind, text, offset)`` tuples and locates a
-token only on error, against the line-tracking tokenizer it replaced, and
-the exact text of every kind of parse error.
+"""The front end against the ones it replaced, and the exact text of every
+kind of parse error.
 
-``reference_tokenize`` is that tokenizer, kept as the reference: it matched
-at every position and built a ``_Token`` with its line and column counted
-as it went.
+The tokenizer yields token texts and locates a token only on error.
+``reference_tokenize`` is the line-tracking tokenizer it replaced: it
+matched at every position and built a ``_Token`` with its line and column
+counted as it went.  The program, value and eval parsers are checked on
+random inputs against ``reference_parser``, the front end that read
+``(kind, text, offset)`` tuples.
 """
 
 import re
@@ -14,8 +16,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from fuzzyasp import DomainError, ParseError, cli, parse, parse_value
-from fuzzyasp.program import _position, _tokenize
+import reference_parser
+from fuzzyasp import DomainError, FuzzyAspError, FuzzyTruth, ParseError, cli, parse, parse_value
+from fuzzyasp.program import _kind, _position, _token_offsets, _tokenize
 
 _REFERENCE_RE = re.compile(
     r"""
@@ -89,15 +92,94 @@ def test_tokenizer_matches_the_line_tracking_reference(source):
         )
         return
     tokens = _tokenize(source)
-    assert [(kind, text) for kind, text, _ in tokens] == [(t.kind, t.text) for t in expected]
-    assert [_position(source, offset) for _, _, offset in tokens] == [
+    assert [(_kind(text), text) for text in tokens] == [(t.kind, t.text) for t in expected]
+    assert [_position(source, offset) for offset in _token_offsets(source)] == [
         (t.line, t.column) for t in expected
     ]
+
+
+FRAGMENTS = (
+    "p(X)", "q(a, b)", "r(X,Y)", "-s", "- s", "not t", "not  t", "f(g(X))", "p()",
+    "ifn(0,1)", "tfn(0.2,.5,1)", "trfn(0,0.25,0.5,1)", "ifn(-0.0,1/3)", "ifn(0.5,1.5)",
+    "tfn(1,0,1)", "ifn(0,1/0)", "ifn(0,-1e400)", "p(ifn(0,1))", "[ifn(0.5,1)]", "[tfn(0,1)]",
+    "r1: ", "lbl :", " <- ", ", ", ". ", ".\n", "agg", " & ", " | ", "!", "not (",
+    "eof", "number", "ident", "var", "١", "aé", "1e5", "5.", "..5",
+)
+
+
+def _rule_text(draw) -> str:
+    label = draw(st.sampled_from(["", "r1: ", "lbl : "]))
+    head = draw(st.sampled_from(["a", "p(X)", "-q(a,X)", "aé", "r(ifn(0,1),b)", "ifn(0,1)"]))
+    body = draw(st.lists(st.sampled_from([
+        "b", "- c", "not  d", "p(X)", "q(X,Y)", "not r(X)", "tfn(0,.5,1)", "ifn(1/3,5e-1)",
+    ]), max_size=3))
+    weight = draw(st.sampled_from(["", " [ifn(0.5,1)]", "[tfn(-0.0,0.5,1)]", " [trfn(0,1/12.,.25,1)]"]))
+    return label + head + (" <- " + ", ".join(body) if body else "") + "." + weight
+
+
+def _expression_text(draw) -> str:
+    values = ["ifn(0,1)", "ifn(.25,5e-1)", "tfn(0,0.5,1)", "trfn(0,1/4,1/2,1)", "ifn(-0.0,١)"]
+    text = draw(st.sampled_from(values))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from([" & ", " | ", " agg ", "&", "|"]))
+        prefix = draw(st.sampled_from(["", "!", "not ", "!not "]))
+        text = draw(st.sampled_from(["{}{}{}", "({}{}{})"])).format(text, op, prefix)
+        text += draw(st.sampled_from(values))
+    return text
+
+
+@st.composite
+def front_end_inputs(draw) -> str:
+    """A soup of tokens and fragments, or a program or an eval expression,
+    with one piece spliced in or not."""
+    pieces = PIECES + FRAGMENTS
+    shape = draw(st.integers(0, 2))
+    if shape == 0:
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=30)))
+    if shape == 1:
+        text = "\n".join(_rule_text(draw) for _ in range(draw(st.integers(0, 5))))
+    else:
+        text = _expression_text(draw)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(pieces)) + text[at + cut:]
+    return text
+
+
+def _outcome(read, text):
+    """What ``read(text)`` gives: the value with its repr, or the error it raises."""
+    try:
+        value = read(text)
+    except FuzzyAspError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    # repr tells -0.0 from 0.0, which compare equal
+    return value, repr(value), repr(tuple(value)) if isinstance(value, FuzzyTruth) else None
 
 
 def _eval(text: str):
     parser = cli._EvalParser(text, 1e-9)
     return parser.parse_all(parser._agg)
+
+
+def _reference_eval(text: str):
+    parser = reference_parser._EvalParser(text, 1e-9)
+    return parser.parse_all(parser._agg)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(front_end_inputs())
+@example("a.\r\nr1: p(X) <- q(X), not  r, - s. [tfn(-0.0,1/3,1)]\r% end")
+@example("ifn(0,1) eof")
+@example("ifn(0,١) & !ifn(.25,5e-1) agg not (tfn(0,0.5,1) | ifn(0,1/1e1))")
+@example("p(X) <- q(X), r(f(X)).")
+def test_front_end_matches_the_reference(text):
+    for read, reference in (
+        (parse, reference_parser.parse),
+        (parse_value, reference_parser.parse_value),
+        (_eval, _reference_eval),
+    ):
+        assert _outcome(read, text) == _outcome(reference, text)
 
 
 DEEP = "(" * 101 + "ifn(0,1)" + ")" * 101
