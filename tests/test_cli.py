@@ -543,6 +543,24 @@ class TestOracleCommand:
         assert "size: 2" in out
 
     @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            # the seeds of a weighted loop, in the solver's order
+            ("oracle_closure_loop.txt", ["ifn(1,1)", "ifn(0,1)", "ifn(0.6,0.6)", "--depth", "3"]),
+            # restricted, truncated and -0.0 parameters
+            ("oracle_closure_edges.txt",
+             ["ifn(0.6,0.6)", "tfn(0.4,0.4,1.5)", "trfn(-0.0,0,-0.0,1)", "ifn(0,1)", "--depth", "2"]),
+        ],
+    )
+    def test_closure_matches_golden_file(self, capsys, golden, argv):
+        # render writes each parameter's float repr, so this pins the
+        # values, their order and their bits
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code, out, _ = run(capsys, "oracle", "closure", *argv)
+        assert code == 0
+        assert out == (root / "tests" / "fixtures" / golden).read_text()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["closure", "ifn(1,1)", "--depth", "5"],
