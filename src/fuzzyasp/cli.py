@@ -3,7 +3,9 @@
 Subcommands: solve, eval, order, measure, table, oracle, parse-only.
 Exit codes for ``solve``: 0 when at least one answer set exists, 1 when
 none does, 2 on parse/ground errors and other reported errors (such as too
-many naf guesses).  Other subcommands use 0/2.
+many naf guesses).  Other subcommands use 0/2.  Every subcommand whose
+reader closes stdout early stops writing and exits 141
+(``EXIT_BROKEN_PIPE``), with no error message.
 
 Every fuzzy value argument (of eval, measure, order and oracle) is read by
 the program parser's grammar, so a malformed value or number is reported
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -375,10 +378,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the status of a run whose reader closed stdout early: 128 + SIGPIPE, as a
+# shell reports a process that signal ends
+EXIT_BROKEN_PIPE = 141
+
+
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that the
+    flush at exit does not fail on the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except (FuzzyAspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

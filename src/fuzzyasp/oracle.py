@@ -5,9 +5,11 @@ closed-form measures and the solver's brute-force tests.  The operator
 closure is also on the solve path: on every program with a cycle through
 naf the solver draws its naf guess domain from :func:`closure_levels`, the
 level-by-level stream that :func:`closure_enumerate` collects, and stops it
-once the domain is too large.  numpy and scipy are imported inside the
-numeric checks only, so the solver's use of the closure (and importing the
-CLI) does not load them.
+once the domain is too large.  So the closure is a float kernel, as the
+solver's rule bodies are: a pair of restricted values is combined on its
+parameters, and a value is built only when its key is new.  numpy and scipy
+are imported inside the numeric checks only, so the solver's use of the
+closure (and importing the CLI) does not load them.
 """
 
 from __future__ import annotations
@@ -127,26 +129,17 @@ def closure_enumerate(
     - ``conj`` and ``disj`` are commutative up to the sign of a tied zero
       in ``_product``'s min/max, which ``_key`` ignores, so ``(w, v)`` is
       skipped once ``(v, w)`` has run.
-    - A ``negate``, ``naf``, ``conj`` or ``disj`` result equal to one
-      already produced is not keyed again.
     - A level that adds no value ends the loop: the next would repeat it.
+
+    A pair of restricted values takes ``conj``'s and ``disj``'s
+    componentwise products on its float parameters, bit for bit, and a pair
+    with a truncated value calls them; a value is built only for a key not
+    seen before.
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, and
     ClosureTooLarge past ``cap`` values.
     """
     return tuple(v for _, v in closure_levels(weights, depth, cap))
-
-
-class _Rounded(dict):
-    """``round(x, 9)`` of each float looked up, computed once.
-
-    Keyed by float, so ``-0.0`` and ``0.0`` share one entry: a key built
-    from it may hold the other zero, which ``==`` does not tell apart.
-    """
-
-    def __missing__(self, x: float) -> float:
-        r = self[x] = round(x, 9)
-        return r
 
 
 def closure_levels(
@@ -159,8 +152,15 @@ def closure_levels(
     collects them, and a run to depth d is the first part of a run to any
     greater depth.  ClosureTooLarge is raised after the pair that takes the
     closure past ``cap`` values, once the values keyed before it were
-    yielded.  Within one run the rounding in ``_key`` is memoised: a
-    closure has far fewer distinct floats than parameters.
+    yielded.
+
+    The pairs run on float parameters.  Each level unpacks its values once,
+    with their reflected parameters ``1 - x``; a pair of restricted values
+    takes the componentwise products of ``conj`` and ``disj`` in place, zero
+    rule included, and a pair with a truncated value calls them.  A result
+    is keyed on its parameters, and a FuzzyTruth is built only for a key
+    not seen before.  Within one run the rounding in ``_key`` is memoised:
+    a closure has far fewer distinct floats than parameters.
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, as the
     first value is asked for.
@@ -171,40 +171,71 @@ def closure_levels(
         raise OracleArgumentError("depth must be at most 4")
     if cap < 1:
         raise OracleArgumentError("the cap must be at least 1")
-    rounded = _Rounded()
+    # round(x, 9) by float, so -0.0 shares 0.0's entry: a key may hold
+    # either zero, which == does not tell apart
+    rounded: dict[float, float] = {}
 
-    def key(x: FuzzyTruth) -> tuple:
+    def key(a: float, b: float, c: float, d: float) -> tuple:
         # _key's tuple, up to the sign of a zero
-        a, b, c, d = x
+        for x in (a, b, c, d):
+            if x not in rounded:
+                rounded[x] = round(x, 9)
         return (rounded[a], rounded[b], rounded[c], rounded[d], a < 0.0 or d > 1.0)
 
     values: dict[tuple, FuzzyTruth] = {}
     for w in weights:
-        k = key(w)
+        k = key(*w)
         if k not in values:
             values[k] = w
             yield 0, w
-    seen = set(values.values())
     for level in range(1, depth + 1):
         current = list(values.values())
         for v in current:
             for p in (negate(v), naf(v)):
-                if p not in seen:
-                    seen.add(p)
-                    k = key(p)
-                    if k not in values:
-                        values[k] = p
-                        yield level, p
-        for i, v in enumerate(current):
-            for w in current[i:]:
-                for op in (conj, disj):
+                k = key(*p)
+                if k not in values:
+                    values[k] = p
+                    yield level, p
+        # each value's parameters, reflected parameters and whether it is restricted
+        rows = [
+            (v, a, b, c, d, 1.0 - a, 1.0 - b, 1.0 - c, 1.0 - d, 0.0 <= a and d <= 1.0)
+            for v in current
+            for a, b, c, d in (v,)
+        ]
+        for i, (v, xa, xb, xc, xd, ra, rb, rc, rd, v_restricted) in enumerate(rows):
+            for w, ya, yb, yc, yd, sa, sb, sc, sd, w_restricted in rows[i:]:
+                if v_restricted and w_restricted:
+                    # conj's restricted form, zero rule included, then disj's;
+                    # both results are restricted, so their keys end in False
+                    a = xa * ya
+                    b = xb * yb
+                    c = xc * yc or b
+                    d = xd * yd or a
                     try:
-                        p = op(v, w)
-                    except OrderViolation:
-                        continue
-                    if p not in seen:
-                        seen.add(p)
-                        k = key(p)
+                        k = (rounded[a], rounded[b], rounded[c], rounded[d], False)
+                    except KeyError:
+                        k = key(a, b, c, d)
+                    if k not in values:
+                        values[k] = p = FuzzyTruth(a, b, c, d)
+                        yield level, p
+                    a = 1.0 - ra * sa
+                    b = 1.0 - rb * sb
+                    c = 1.0 - rc * sc
+                    d = 1.0 - rd * sd
+                    try:
+                        k = (rounded[a], rounded[b], rounded[c], rounded[d], False)
+                    except KeyError:
+                        k = key(a, b, c, d)
+                    if k not in values:
+                        values[k] = p = FuzzyTruth(a, b, c, d)
+                        yield level, p
+                else:
+                    for op in (conj, disj):
+                        try:
+                            p = op(v, w)
+                        except OrderViolation:
+                            continue
+                        k = key(*p)
                         if k not in values:
                             values[k] = p
                             yield level, p

@@ -10,12 +10,14 @@ Concrete grammar (no function symbols, comments start with ``%``)::
     number  := ['-'] decimal ['/' decimal]
     decimal := digits ['.' [digits]] [exponent] | '.' digits [exponent]
 
-Identifiers start lowercase, variables uppercase.  A missing weight means
-ifn(1,1); an empty body is the fold unit ifn(1,1).  Fuzzy numbers may occur
-as body items (inline evidence) and as inert constants in argument
-positions.  The same tokenizer and ``fuzzy`` production read single values
-(:func:`parse_value`) and the CLI's connective expressions, so every text
-input reports errors with a line and column.
+A comment runs from ``%`` to the end of its line; ``\\r\\n``, ``\\r`` and
+``\\n`` each end a line, as in a file the CLI reads with universal
+newlines.  Identifiers start lowercase, variables uppercase.  A missing
+weight means ifn(1,1); an empty body is the fold unit ifn(1,1).  Fuzzy
+numbers may occur as body items (inline evidence) and as inert constants in
+argument positions.  The same tokenizer and ``fuzzy`` production read
+single values (:func:`parse_value`) and the CLI's connective expressions,
+so every text input reports errors with a line and column.
 
 The tokenizer is one ``re.split`` pass, and a token is its text alone: its
 kind follows from the text (:func:`_kind`), and where it starts
@@ -502,7 +504,7 @@ _TOKEN_RE = re.compile(
       | [A-Z]\w*                                                  # variable
     )
   | \s+
-  | %[^\n]*
+  | %[^\r\n]*
   | (.)
 """,
     re.VERBOSE | re.DOTALL,
@@ -512,8 +514,14 @@ _PUNCTUATION = frozenset(["<-", "(", ")", ".", ",", "[", "]", ":", "/", "!", "&"
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
-    """The 1-based (line, column) of ``offset`` in ``source``; lines end at ``\\n``."""
-    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    """The 1-based (line, column) of ``offset`` in ``source``.
+
+    A line ends at ``\\r\\n``, ``\\r`` or ``\\n``, as in a file read with
+    universal newlines.
+    """
+    head = source[:offset]
+    line_ends = head.count("\n") + head.count("\r") - head.count("\r\n")
+    return line_ends + 1, offset - max(head.rfind("\n"), head.rfind("\r"))
 
 
 def _tokenize(source: str) -> list[str]:

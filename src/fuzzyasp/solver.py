@@ -559,10 +559,14 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
     if depth != 0:
         level = start = 0  # the level being read, and len(domain) as it started
         end = None  # the level that ended the run early
+        bs = set()  # the b of each value read: the domain key follows from it
         try:
             for level_of_v, v in closure_levels(seeds, depth):
                 if level_of_v > level:
                     level, start = level_of_v, len(domain)
+                if v.b in bs:
+                    continue
+                bs.add(v.b)
                 key = round(1.0 - v.b, 9)
                 if key not in domain:
                     domain[key] = naf(v)

@@ -18,7 +18,7 @@ from fuzzyasp.truthspace import TRUE, FuzzyTruth, ifn, tfn, trfn
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+  | (?P<comment>%[^\r\n]*)
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[a-z]\w*)
   | (?P<var>[A-Z]\w*)
@@ -30,8 +30,14 @@ _TOKEN_RE = re.compile(
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
-    """The 1-based (line, column) of ``offset`` in ``source``; lines end at ``\\n``."""
-    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    """The 1-based (line, column) of ``offset`` in ``source``.
+
+    A line ends at ``\\r\\n``, ``\\r`` or ``\\n``, as in a file read with
+    universal newlines.
+    """
+    head = source[:offset]
+    line_ends = head.count("\n") + head.count("\r") - head.count("\r\n")
+    return line_ends + 1, offset - max(head.rfind("\n"), head.rfind("\r"))
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from fuzzyasp import DomainError, ParseError, ground, parse, parse_value
-from fuzzyasp.cli import MAX_PAREN_DEPTH, MAX_STEP_DENOMINATOR, main
+from fuzzyasp.cli import EXIT_BROKEN_PIPE, MAX_PAREN_DEPTH, MAX_STEP_DENOMINATOR, main
 from fuzzyasp.solver import DEFAULT_MAX_ITER
 from fuzzyasp.truthspace import DEFAULT_EPS
 
@@ -112,6 +112,21 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert "line" in err
+
+    @pytest.mark.parametrize("end", [b"\r", b"\n", b"\r\n"])
+    def test_every_line_end_reads_alike_in_parse_and_the_cli(self, capsys, tmp_path, end):
+        # the CLI reads a file with universal newlines, and parse ends a
+        # line and a comment at each of them too
+        bad = tmp_path / "bad.fasp"
+        bad.write_bytes(b"a." + end + b"b $\n")
+        with pytest.raises(ParseError) as exc:
+            parse(bad.read_bytes().decode())
+        assert str(exc.value) == "unexpected character '$' (line 2, column 3)"
+        assert run(capsys, "solve", str(bad)) == (2, "", f"error: {exc.value}\n")
+        commented = tmp_path / "comment.fasp"
+        commented.write_bytes(b"a. % note" + end + b"b.\n")
+        assert parse(commented.read_bytes().decode()).render() == "a.\nb.\n"
+        assert run(capsys, "parse-only", str(commented)) == (0, "a.\nb.\n", "")
 
     def test_division_by_zero_exit_two_without_traceback(self, tmp_path):
         path = tmp_path / "zero.fasp"
@@ -586,6 +601,37 @@ class TestOracleCommand:
         # not the seed alone, nor "closure exceeded -5 values"
         code, out, err = run(capsys, "oracle", "closure", "ifn(0.5,1)", *option)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch):
+        # a reader that stops early (| head -1) gets no error: line
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["oracle", "closure", "ifn(1,1)", "ifn(0,1)", "ifn(0.6,0.6)", "--depth", "3"])
+        assert (code, capsys.readouterr().err) == (EXIT_BROKEN_PIPE, "")
+
+    def test_closed_pipe_exits_quietly_from_the_console(self):
+        # the pipe closes before the first write, and nothing fails at exit
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fuzzyasp.cli", "oracle", "closure", "ifn(1,1)"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 @pytest.mark.parametrize(

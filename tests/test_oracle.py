@@ -31,6 +31,7 @@ from fuzzyasp import oracle
 from fuzzyasp.oracle import (
     _key,
     closure_enumerate,
+    closure_levels,
     integrate_density_mean,
     prob_leq,
     sample_density,
@@ -176,15 +177,20 @@ class TestClosure:
 def full_closure_loop(weights, depth, cap):
     """The closure loop before it skipped work, kept as the reference:
     every level applies all five connectives to every value and pair, and
-    skips a conj or disj that overflows as it skips an aggregation tie."""
+    skips a conj or disj that overflows as it skips an aggregation tie.
+    Returns the values and, for each, the round that first produced its
+    key (0 for a seed)."""
     values = {}
+    rounds = {}
     for w in weights:
         values.setdefault(_key(w), w)
-    for _ in range(depth):
+        rounds.setdefault(_key(w), 0)
+    for level in range(1, depth + 1):
         current = list(values.values())
         added = False
         for v in current:
             for produced in (negate(v), naf(v)):
+                rounds.setdefault(_key(produced), level)
                 if values.setdefault(_key(produced), produced) is produced:
                     added = True
         for v, w in itertools.product(current, current):
@@ -195,13 +201,14 @@ def full_closure_loop(weights, depth, cap):
                 except (OrderViolation, AggregationTie):
                     pass
             for p in produced:
+                rounds.setdefault(_key(p), level)
                 if values.setdefault(_key(p), p) is p:
                     added = True
             if len(values) > cap:
                 raise ClosureTooLarge(f"closure exceeded {cap} values")
         if not added:
             break
-    return tuple(values.values())
+    return tuple(values.values()), [rounds[_key(v)] for v in values.values()]
 
 
 seed_core = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -232,6 +239,9 @@ def packed(values):
     st.sampled_from([1, 5, 60, 400, 3000]),
 )
 @example([tfn(0, 0, 1), trfn(-0.0, 0, -0.0, 1)], False, 3, 100_000)
+# conj's zero rule decides a stored c: 0.0 * -0.0 is -0.0, and _product's
+# max keeps its first core product, 0.0 * 0.0
+@example([trfn(0, 0, 0, 0.5), trfn(0, 0, -0.0, 0.6)], False, 1, 100_000)
 @example(TUMOR_WEIGHTS, False, 2, 100_000)
 @example([trfn(-1e300, 0, 1, 1e300)], False, 3, 100_000)
 @example([trfn(-1e300, 0.5, 0.5, 1e300)], True, 3, 3000)
@@ -243,9 +253,12 @@ def test_closure_matches_the_full_loop(seeds, with_crisp, depth, cap):
     if with_crisp:
         seeds = [TRUE, UNKNOWN, *seeds]
     try:
-        expected = full_closure_loop(seeds, depth, cap)
+        expected, rounds = full_closure_loop(seeds, depth, cap)
     except ClosureTooLarge as exc:
         with pytest.raises(ClosureTooLarge, match=str(exc)):
             closure_enumerate(seeds, depth, cap=cap)
     else:
         assert packed(closure_enumerate(seeds, depth, cap=cap)) == packed(expected)
+        # the guess domain is cut back to the start of a level, so the
+        # level tags decide it: each is the round that first made the key
+        assert [level for level, _ in closure_levels(seeds, depth, cap)] == rounds

@@ -23,7 +23,7 @@ from fuzzyasp.program import _kind, _position, _token_offsets, _tokenize
 _REFERENCE_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+  | (?P<comment>%[^\r\n]*)
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<arrow><-)
   | (?P<ident>[a-z]\w*)
@@ -59,10 +59,10 @@ def reference_tokenize(source: str) -> list[_Token]:
             if kind == "punct" or kind == "arrow":
                 kind = text
             tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
+        newlines = text.count("\n") + text.count("\r") - text.count("\r\n")
         if newlines:
             line += newlines
-            line_start = pos + text.rindex("\n") + 1
+            line_start = pos + max(text.rfind("\n"), text.rfind("\r")) + 1
         pos = m.end()
     tokens.append(_Token("eof", "", line, len(source) - line_start + 1))
     return tokens
