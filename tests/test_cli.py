@@ -298,6 +298,8 @@ class TestSolveCommand:
             "tests/fixtures/truncated_paths.fasp --trace",
             "tests/fixtures/closure_cap.fasp",
             "tests/fixtures/lexer_edges.fasp",
+            "tests/fixtures/repeated_values.fasp",
+            "tests/fixtures/repeated_values.fasp --trace",
         ],
     )
     def test_json_output_matches_golden_file(self, capsys, program):
@@ -308,6 +310,21 @@ class TestSolveCommand:
         suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
         golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve{suffix}.json"
         code, out, _ = run(capsys, "solve", str(root / program), "--json", *flags)
+        assert code == 0
+        assert out == golden.read_text()
+
+    @pytest.mark.parametrize(
+        "program",
+        ["tests/fixtures/repeated_values.fasp", "tests/fixtures/repeated_values.fasp --trace"],
+    )
+    def test_text_output_matches_golden_file(self, capsys, program):
+        # the closure repeats a handful of values, and a and b hold values
+        # that are == yet differ in the sign of a zero
+        program, *flags = program.split()
+        root = pathlib.Path(__file__).resolve().parent.parent
+        suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
+        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve{suffix}.txt"
+        code, out, _ = run(capsys, "solve", str(root / program), *flags)
         assert code == 0
         assert out == golden.read_text()
 

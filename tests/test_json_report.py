@@ -136,10 +136,14 @@ class TestEdgeCases:
         assert '"guess_depth": 3' in out
 
     def test_signed_zeros_keep_their_sign(self, capsys, tmp_path, flags):
-        # 0.0 == -0.0, yet they are written differently
-        code, out = solve_json(capsys, tmp_path, "a. [trfn(-0.0,0,-0.0,1)]\nb. [ifn(0,1)]\n", *flags)
-        assert code == 0
-        assert '"a": -0.0,' in out and '"a": 0.0,' in out
+        # 0.0 == -0.0, yet they are written differently; b's trfn(0,0,0,1)
+        # is even == to a's value as a whole
+        for other in ("ifn(0,1)", "trfn(0,0,0,1)"):
+            code, out = solve_json(capsys, tmp_path, f"a. [trfn(-0.0,0,-0.0,1)]\nb. [{other}]\n", *flags)
+            assert code == 0
+            assert '"a": {\n        "a": -0.0,' in out and '"b": {\n        "a": 0.0,' in out
+            if flags:
+                assert '"a": [\n        -0.0,' in out and '"b": [\n        0.0,' in out
 
     def test_empty_program(self, capsys, tmp_path, flags):
         code, out = solve_json(capsys, tmp_path, "", *flags)

@@ -214,3 +214,12 @@ class TestEquivalentInterval:
 def test_measure_pair():
     m = measure(tfn(0, 1 / 3, 1))
     assert (m.t, m.k) == (pytest.approx(4 / 9), pytest.approx(0.5))
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_measure_is_the_two_degrees_bit_for_bit(truncated):
+    # exact points, signed zeros and a support whose clipped area overflows too
+    edges = [ifn(0.3, 0.3), trfn(-0.0, 0, -0.0, 1), trfn(0, 0, 0, 1), trfn(-1e308, 0, 1, 1e308)]
+    for x in random_values(2_000, 11 + truncated, truncated) + edges:
+        m = measure(x)
+        assert (m.t.hex(), m.k.hex()) == (truth_degree(x).hex(), uncertainty_degree(x).hex())

@@ -7,7 +7,7 @@ import struct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 
 from fuzzyasp import (
     FALSE,
@@ -16,15 +16,19 @@ from fuzzyasp import (
     Atom,
     ClosureTooLarge,
     FuzzyAspError,
+    FuzzyTruth,
     GroundProgram,
     GuessLimitExceeded,
+    Inconsistent,
     Interpretation,
     Literal,
     Naf,
+    NonConvergent,
     OracleArgumentError,
     Rule,
     Status,
     conj,
+    disj,
     equal,
     eval_body,
     ground,
@@ -49,6 +53,8 @@ from fuzzyasp import (
 from fuzzyasp.program import VALUE
 
 from bruteforce_oracle import joint_solve
+from conftest import approx_params
+from test_engine import stratified_programs
 from test_oracle import seed_values
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -246,6 +252,53 @@ class TestVerifyAnswerSet:
         gp = ground(parse("a <- not a."))
         for value in (TRUE, FALSE, UNKNOWN):
             assert verify_answer_set(gp, interp(a=value)).status is not Status.ANSWER_SET
+
+    def test_not_model_names_the_first_failing_rule_in_program_order(self):
+        # a's fact fails too, and a is the first head, but x <- y comes first
+        gp = ground(parse("a <- c.\nx <- y.\na.\n"))
+        result = verify_answer_set(gp, interp(a=FALSE, c=FALSE, x=FALSE, y=TRUE))
+        assert result.status is Status.NOT_MODEL
+        assert result.detail is gp.rules[1]
+
+    def test_not_supported_condition_1(self):
+        # TRUE is more certain than the fact's value: a model, not supported
+        gp = ground(parse("a. [ifn(0.7,0.9)]"))
+        result = verify_answer_set(gp, interp(a=TRUE))
+        assert result.status is Status.NOT_SUPPORTED
+        assert result.detail == solver.Violation(lit("a"), 1, ifn(0.7, 0.9), TRUE)
+
+    def test_not_supported_condition_2(self):
+        gp = ground(parse("a. [ifn(0.5,0.5)] a <- b. b. [ifn(0.5,0.5)]"))
+        result = verify_answer_set(gp, interp(a=TRUE, b=ifn(0.5, 0.5)))
+        assert result.status is Status.NOT_SUPPORTED
+        assert result.detail == solver.Violation(lit("a"), 2, ifn(0.75, 0.75), TRUE)
+
+    def test_not_supported_folds_the_rules_in_program_order(self):
+        # the fold in reverse order gives a = 0.6220000000000001
+        x, y, z = ifn(0.1, 0.8), ifn(0.3, 0.8), ifn(0.4, 0.5)
+        gp = ground(parse(f"a. [{x.render()}] a. [{y.render()}] a. [{z.render()}]"))
+        result = verify_answer_set(gp, interp(a=TRUE))
+        assert result.status is Status.NOT_SUPPORTED
+        assert result.detail == solver.Violation(lit("a"), 2, disj(disj(x, y), z), TRUE)
+        assert result.detail.expected.a == 0.622
+
+    def test_not_supported_condition_3(self):
+        # aggregation keeps negate(ifn(0,0.2)) = ifn(0.8,1) for a
+        gp = ground(parse("a <- b. [ifn(0.6,1)] -a <- c. [ifn(0,0.2)] b. c."))
+        result = verify_answer_set(gp, interp(a=TRUE, n_a=FALSE, b=TRUE, c=TRUE))
+        assert result.status is Status.NOT_SUPPORTED
+        violation = result.detail
+        assert (violation.literal, violation.condition, violation.actual) == (lit("a"), 3, TRUE)
+        approx_params(violation.expected, (0.8, 0.8, 1.0, 1.0))
+
+    def test_not_supported_aggregation_tie(self):
+        # both sides are equally uncertain and disagree: no supported value
+        gp = ground(parse("a. [ifn(0.5,1)] -a. [ifn(0.5,1)]"))
+        i = interp(a=ifn(0.75, 0.75), n_a=ifn(0.25, 0.25))
+        assert is_inconsistent(i) is None
+        result = verify_answer_set(gp, i)
+        assert result.status is Status.NOT_SUPPORTED
+        assert result.detail == solver.Violation(lit("a"), 3)
 
 
 class TestSolve:
@@ -795,3 +848,90 @@ class TestKnownDefects:
     def test_independent_loops_are_solved_apart(self):
         report = solve(parse(" ".join(f"a{i} <- not b{i}. b{i} <- not a{i}." for i in range(10))))
         assert len(report.answer_sets) == 1024
+
+
+def _composed_verdict(gp, i, eps, max_iter):
+    """``verify_answer_set``'s (status, detail), composed from the public checks."""
+    atom = is_inconsistent(i, eps)
+    if atom is not None:
+        return Status.INCONSISTENT, atom
+    for rule in gp.rules:
+        if not satisfies(i, rule, eps):
+            return Status.NOT_MODEL, rule
+    violation = is_supported(i, gp, eps)
+    if violation is not None:
+        return Status.NOT_SUPPORTED, violation
+    try:
+        fix = kmin_supported_model(reduct(gp, i), eps=eps, max_iter=max_iter)
+    except Inconsistent as exc:
+        return Status.INCONSISTENT, exc.atom
+    except NonConvergent:
+        return Status.NON_CONVERGENT, None
+    if not interpretations_equal(fix, i, eps):
+        return Status.NOT_K_MINIMAL, fix
+    return Status.ANSWER_SET, None
+
+
+def _verdict_bits(status, detail):
+    """``(status, detail)`` with floats as bits.
+
+    An interpretation is compared by literal, leaving out the unknown ones:
+    the reduct has no literal that only ``not`` reads.
+    """
+    if isinstance(detail, Interpretation):
+        unknown = _bits(UNKNOWN)
+        return status, {l: _bits(v) for l, v in detail.items() if _bits(v) != unknown}
+    return status, _bits(detail), repr(detail)
+
+
+_PERTURBED = (TRUE, FALSE, UNKNOWN, ifn(0.3, 0.7), ifn(0.6, 0.6), tfn(0.1, 0.6, 1.2),
+              trfn(-0.0, 0, -0.0, 1))
+
+
+class TestVerdictOrder:
+    """``verify_answer_set`` reports what the public checks report, in their order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_the_composed_checks(self, data):
+        if data.draw(st.booleans()):
+            source = data.draw(stratified_programs())[0]
+        else:
+            source = data.draw(layered_naf_programs())
+        gp = ground(parse(source))
+        eps, max_iter = 1e-9, 200
+        try:
+            report = solve(gp, max_iter=max_iter, guess_depth=1)
+            bases = [c.interpretation for c in report.candidates if c.interpretation is not None]
+        except FuzzyAspError:
+            bases = []
+        values = list(data.draw(st.sampled_from(bases)).values) if bases else [UNKNOWN] * len(gp.literals)
+        # a perturbed value is new, another literal's, or a step of 1e-6 off
+        for _ in range(data.draw(st.integers(0, 2)) if values else 0):
+            at = data.draw(st.integers(0, len(values) - 1))
+            how = data.draw(st.sampled_from(("new", "copy", "step")))
+            if how == "new":
+                values[at] = data.draw(st.sampled_from(_PERTURBED))
+            elif how == "copy":
+                values[at] = values[data.draw(st.integers(0, len(values) - 1))]
+            else:
+                a, b, c, d = values[at]
+                values[at] = FuzzyTruth(a, b, c, d + 1e-6)
+        if data.draw(st.booleans()):
+            i = Interpretation.of(gp.table, values)
+        else:  # a table of its own
+            i = Interpretation(dict(zip(gp.literals, values)))
+
+        def outcome(check):
+            try:
+                return _verdict_bits(*check())
+            except FuzzyAspError as exc:
+                return type(exc).__name__, str(exc)
+
+        def verified():
+            result = verify_answer_set(gp, i, eps=eps, max_iter=max_iter)
+            return result.status, result.detail
+
+        got = outcome(verified)
+        event(str(got[0]))
+        assert got == outcome(lambda: _composed_verdict(gp, i, eps, max_iter)), source
