@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import re
+import struct
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -39,6 +40,24 @@ def _quad_text(v: FuzzyTruth) -> str:
 def _measure_text(v: FuzzyTruth) -> str:
     m = measure(v)
     return f"(t={m.t!r}, k={m.k!r})"
+
+
+# the exact bits of a value's parameters: 0.0 == -0.0, yet they print apart
+_bits = struct.Struct("4d").pack
+
+
+def _once_per_value(spell):
+    """``spell``, called once per distinct value bits; for one output only."""
+    spelled = {}
+
+    def text(v: FuzzyTruth) -> str:
+        key = _bits(*v)
+        out = spelled.get(key)
+        if out is None:
+            out = spelled[key] = spell(v)
+        return out
+
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -120,20 +139,22 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(_report_text(report, args.trace))
     else:
+        value_text = _once_per_value(lambda v: f"{_quad_text(v)} {_measure_text(v)}")
         for n, interp in enumerate(report.answer_sets, 1):
             print(f"answer set {n}:")
             for name, v in _sorted_by_name(interp):
-                print(f"  {name} : {_quad_text(v)} {_measure_text(v)}")
+                print(f"  {name} : {value_text(v)}")
         statuses = ", ".join(c.status.value for c in report.candidates) or "none"
         print(f"candidates: {statuses}")
         print(f"iterations: {report.iterations}")
         if report.guess_depth is not None:
             print(f"guess depth: {report.guess_depth}")
         if args.trace:
+            quad_text = _once_per_value(_quad_text)
             for passno, snapshot in enumerate(report.trace, 1):
                 print(f"pass {passno}:")
                 for name, v in _sorted_by_name(snapshot):
-                    print(f"  {name} : {_quad_text(v)}")
+                    print(f"  {name} : {quad_text(v)}")
     return 0 if report.answer_sets else 1
 
 
@@ -167,6 +188,30 @@ _VALUE_MEMBER = ": " + _json_block(
     "{", "}", [f'"{key}": %s' for key in ("a", "b", "c", "d", "truncated", "t", "k")], _ENTRY + "  "
 )
 _ROUND_MEMBER = ": " + _json_block("[", "]", ["%s"] * 5, _ENTRY + "  ")
+# the same with each float slot a %r, which spells a finite float as
+# _float_text does
+_FINITE_VALUE_MEMBER = _VALUE_MEMBER % ("%r", "%r", "%r", "%r", "%s", "%r", "%r")
+_FINITE_ROUND_MEMBER = _ROUND_MEMBER % ("%r", "%r", "%r", "%r", "%s")
+
+
+def _value_member(v: FuzzyTruth) -> str:
+    """An answer-set literal's member after its name: the value and its measure."""
+    a, b, c, d = v
+    m = measure(v)
+    t, k = m.t, m.k
+    truncated = _JSON_BOOL[v.truncated]
+    if -math.inf < a + b + c + d + t + k < math.inf:  # all six are finite
+        return _FINITE_VALUE_MEMBER % (a, b, c, d, truncated, t, k)
+    return _VALUE_MEMBER % (*map(_float_text, v), truncated, _float_text(t), _float_text(k))
+
+
+def _round_member(v: FuzzyTruth) -> str:
+    """A trace literal's member after its name: the value's parameters."""
+    a, b, c, d = v
+    truncated = _JSON_BOOL[v.truncated]
+    if -math.inf < a + b + c + d < math.inf:
+        return _FINITE_ROUND_MEMBER % (a, b, c, d, truncated)
+    return _ROUND_MEMBER % (*map(_float_text, v), truncated)
 
 
 def _report_text(report, with_trace: bool) -> str:
@@ -177,23 +222,21 @@ def _report_text(report, with_trace: bool) -> str:
     with ``"trace": [{name: [a, b, c, d, truncated]}]`` after them when
     ``with_trace``.  Answer-set literals are sorted by name, trace literals
     are in id order.  The schema is fixed, so only the leaves are encoded:
-    names by json's C string encoder, floats by :func:`_float_text`.
-    Every answer set and trace round is on the ground program's one
-    literal table, so its names are sorted and encoded once.
+    names by json's C string encoder, floats as :func:`_float_text` spells
+    them.  Every answer set and trace round is on the ground program's one
+    literal table, so its names are sorted and encoded once.  A value's
+    member is spelled once per distinct bits of its parameters, as
+    answer-set values and as trace values: a closure repeats a handful of
+    values over hundreds of literals.
     """
     answer_sets = []
     if report.answer_sets:
         names = report.answer_sets[0].table.names
         by_name = [(i, _json_string(names[i])) for i in sorted(range(len(names)), key=names.__getitem__)]
+        value_member = _once_per_value(_value_member)
         for interp in report.answer_sets:
             values = interp.values
-            literals = []
-            for i, name in by_name:
-                v = values[i]
-                m = measure(v)
-                literals.append(name + _VALUE_MEMBER % (
-                    *map(_float_text, v), _JSON_BOOL[v.truncated], _float_text(m.t), _float_text(m.k),
-                ))
+            literals = [name + value_member(values[i]) for i, name in by_name]
             answer_sets.append(_json_block("{", "}", literals, _ENTRY))
     candidates = [
         _json_block("{", "}", [
@@ -213,10 +256,10 @@ def _report_text(report, with_trace: bool) -> str:
         rounds = []
         if report.trace:
             in_id_order = [_json_string(name) for name in report.trace[0].table.names]
+            round_member = _once_per_value(_round_member)
             for snapshot in report.trace:
                 rounds.append(_json_block("{", "}", [
-                    name + _ROUND_MEMBER % (*map(_float_text, v), _JSON_BOOL[v.truncated])
-                    for name, v in zip(in_id_order, snapshot.values)
+                    name + round_member(v) for name, v in zip(in_id_order, snapshot.values)
                 ], _ENTRY))
         members.append(f'"trace": {_json_block("[", "]", rounds, "  ")}')
     return _json_block("{", "}", members, "")

@@ -56,8 +56,12 @@ def uncertainty_degree(x: FuzzyTruth) -> float:
 
 def truth_degree(x: FuzzyTruth) -> float:
     """Mean of the equivalent probability density of the actual truth status."""
+    return _mean(x, uncertainty_degree(x))
+
+
+def _mean(x: FuzzyTruth, k: float) -> float:
+    """:func:`truth_degree` of ``x``, given its uncertainty degree ``k``."""
     a, b, c, d = x
-    k = uncertainty_degree(x)
     if k <= 0.0:
         # Dirac case: all mass at the (necessarily degenerate) core.
         return b
@@ -106,7 +110,9 @@ def density(x: FuzzyTruth, v: float) -> float:
 
 
 def measure(x: FuzzyTruth) -> Measure:
-    return Measure(truth_degree(x), uncertainty_degree(x))
+    """(:func:`truth_degree`, :func:`uncertainty_degree`), the area computed once."""
+    k = uncertainty_degree(x)
+    return Measure(_mean(x, k), k)
 
 
 def leq_truth(x: FuzzyTruth, y: FuzzyTruth, eps: float = DEFAULT_EPS) -> bool:

@@ -336,14 +336,19 @@ class GroundProgram:
         is_head = [False] * len(rules_of)
         for head in self.heads:
             is_head[head] = True
-        follow = (LIT, NAF) if naf_edges else (LIT,)
         deps: dict[int, tuple] = {}
+        naf_targets: dict[int, list] = {}  # per head, the heads its rules read under naf
         for head in self.heads:
             out: dict[int, None] = {}
+            targets = naf_targets[head] = []
             for body, _ in rules_of[head]:
                 for kind, x in body:
-                    if kind in follow and is_head[x]:
+                    if kind == LIT:
+                        if is_head[x]:
+                            out.setdefault(x)
+                    elif kind == NAF and naf_edges and is_head[x]:
                         out.setdefault(x)
+                        targets.append(x)
             comp = complement[head]
             if comp >= 0 and is_head[comp]:
                 out.setdefault(comp)
@@ -353,12 +358,7 @@ class GroundProgram:
         for n, (members, cyclic) in enumerate(_strongly_connected(deps)):
             for h in members:
                 where[h] = n
-            naf_inside = naf_edges and cyclic and self.has_naf and any(
-                kind == NAF and where[x] == n
-                for h in members
-                for body, _ in rules_of[h]
-                for kind, x in body
-            )
+            naf_inside = cyclic and any(where[x] == n for h in members for x in naf_targets[h])
             components.append(Component(members, cyclic, naf_inside, tuple(
                 (h, rules_of[h], rules_of[complement[h]] if complement[h] >= 0 else ())
                 for h in members

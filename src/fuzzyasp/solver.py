@@ -198,16 +198,26 @@ def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
     return truth_degree(head) > truth_degree(body) + eps
 
 
-def _contribution(values: list, rules: tuple, naf_values) -> FuzzyTruth:
+def _computed(values: list, value: tuple, weight: None, naf_values) -> tuple:
+    """The body value a rule already has: an ``evaluate`` of :func:`_contribution`."""
+    return value
+
+
+def _contribution(values: list, rules, naf_values, evaluate=_body) -> FuzzyTruth:
     """Disjunction fold (program order) of the body values of one head's rules.
 
-    The restricted form of :func:`~fuzzyasp.connectives.disj` is taken in
-    place on the parameters of :func:`_body`, so one value is built per
-    head; a truncated operand takes its general form.
+    Each rule's ``(a, b, c, d)`` is ``evaluate(values, *rule, naf_values)``:
+    :func:`_body` of its ``(body, weight)`` in the fixpoint and in
+    :func:`is_supported`, and :func:`_computed` of a ``(body value, None)``
+    pair in the support check of :func:`verify_answer_set`, which folds the
+    values its model check computed.  The restricted form of
+    :func:`~fuzzyasp.connectives.disj` is taken in place on those
+    parameters, so one value is built per head; a truncated operand takes
+    its general form.
     """
     a = None
     for body, weight in rules:
-        ya, yb, yc, yd = _body(values, body, weight, naf_values)
+        ya, yb, yc, yd = evaluate(values, body, weight, naf_values)
         if a is None:
             a, b, c, d = ya, yb, yc, yd
         elif 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
@@ -226,16 +236,16 @@ def _contribution(values: list, rules: tuple, naf_values) -> FuzzyTruth:
     return FuzzyTruth(a, b, c, d)
 
 
-def _target(values: list, own: tuple, against: tuple, naf_values, eps: float) -> FuzzyTruth:
+def _target(values: list, own, against, naf_values, eps: float, evaluate=_body) -> FuzzyTruth:
     """The supported value for a head literal with compiled rules ``own``.
 
     The complement's combined evidence (its rules, ``against``) is
     aggregated in only when the complement has rules of its own;
-    AggregationTie propagates.
+    AggregationTie propagates.  ``evaluate`` is as in :func:`_contribution`.
     """
-    value = _contribution(values, own, naf_values)
+    value = _contribution(values, own, naf_values, evaluate)
     if against:
-        return kagg(value, negate(_contribution(values, against, naf_values)), eps)
+        return kagg(value, negate(_contribution(values, against, naf_values, evaluate)), eps)
     return value
 
 
@@ -266,7 +276,7 @@ def is_supported(
     combination of several rules, condition 3 the aggregation against a
     complement that also has rules.
     """
-    return _unsupported(gp, _values_on(gp, i), eps)
+    return _unsupported(gp, _values_on(gp, i), eps, gp.rules_of, _body)
 
 
 def _values_on(gp: GroundProgram, i: Interpretation) -> list:
@@ -276,15 +286,24 @@ def _values_on(gp: GroundProgram, i: Interpretation) -> list:
     return [i.value(literal) for literal in gp.literals]
 
 
-def _unsupported(gp: GroundProgram, values: list, eps: float) -> Violation | None:
-    complement, rules_of = gp.table.complement, gp.rules_of
+def _unsupported(
+    gp: GroundProgram, values: list, eps: float, rules_of, evaluate
+) -> Violation | None:
+    """:func:`is_supported` on ``gp``'s literal ids, heads in ``gp.heads`` order.
+
+    ``rules_of[h]`` lists head h's rules in program order, in the form
+    ``evaluate`` reads (see :func:`_contribution`): ``gp.rules_of`` for
+    :func:`_body`, which reads naf from ``values``, or the body values
+    :func:`verify_answer_set` kept for :func:`_computed`.
+    """
+    complement = gp.table.complement
     for head in gp.heads:
         own = rules_of[head]
         against = rules_of[complement[head]] if complement[head] >= 0 else ()
         condition = 3 if against else (1 if len(own) == 1 else 2)
         literal = gp.literals[head]
         try:
-            expected = _target(values, own, against, None, eps)
+            expected = _target(values, own, against, None, eps, evaluate)
         except AggregationTie:
             return Violation(literal, 3)
         if not equal(values[head], expected, eps):
@@ -500,15 +519,25 @@ def verify_answer_set(
     are its guess), that fixpoint is the candidate and is not computed again;
     every check still runs.  A failed rule is reported from the
     ``gp.rules`` view.
+
+    The checks run in this order, and the first failure is the result:
+    consistency (:func:`is_inconsistent`), the model check of each rule in
+    program order (:func:`satisfies`), support (:func:`is_supported`), and
+    k-minimality against the reduct's fixpoint.  Each rule body is
+    evaluated once: the model check keeps its value, and the support check
+    folds the kept values of each head's rules.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
         return CandidateResult(i, Status.INCONSISTENT, atom)
     values = _values_on(gp, i)
+    computed = [[] for _ in values]  # per head, (body value, None) per rule
     for pos, (head, body, weight) in enumerate(gp.compiled):
-        if not _satisfied(values[head], _body(values, body, weight, None), eps):
+        value = _body(values, body, weight, None)
+        if not _satisfied(values[head], value, eps):
             return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
-    violation = _unsupported(gp, values, eps)
+        computed[head].append((value, None))
+    violation = _unsupported(gp, values, eps, computed, _computed)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
     frozen = {b: naf(values[b]) for b in gp.naf_ids}
