@@ -40,13 +40,9 @@ from .solver import (
     Interpretation,
     SolveReport,
     Status,
-    eval_body,
     interpretations_equal,
     is_inconsistent,
-    is_supported,
     kmin_supported_model,
-    reduct,
-    satisfies,
     solve,
     verify_answer_set,
 )
@@ -77,9 +73,8 @@ __all__ = [
     "QuadratureFailure",
     "Rel", "Rule", "SolveReport", "Status", "TRUE", "UNKNOWN", "UnsafeRule", "Var",
     "alpha_cut", "compare", "conj", "density", "disj", "equal", "equivalent_interval",
-    "eval_body", "ground", "ifn", "interpretations_equal", "is_inconsistent",
-    "is_supported", "kagg", "kmin_supported_model", "leq_knowledge", "leq_truth",
-    "make", "measure", "membership", "naf", "negate", "parse", "parse_value",
-    "reduct", "satisfies", "solve", "tfn", "trfn", "truth_degree",
-    "uncertainty_degree", "verify_answer_set",
+    "ground", "ifn", "interpretations_equal", "is_inconsistent", "kagg",
+    "kmin_supported_model", "leq_knowledge", "leq_truth", "make", "measure",
+    "membership", "naf", "negate", "parse", "parse_value", "solve", "tfn", "trfn",
+    "truth_degree", "uncertainty_degree", "verify_answer_set",
 ]

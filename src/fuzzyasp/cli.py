@@ -330,20 +330,24 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.oracle_cmd == "mean":
-        print(repr(oracle_mod.integrate_density_mean(parse_value(args.value))))
-    elif args.oracle_cmd == "prob":
-        est = oracle_mod.prob_leq(
-            parse_value(args.x), parse_value(args.y),
-            samples=args.samples, seed=args.seed,
-        )
-        print(f"estimate={est.estimate!r} stderr={est.stderr!r} samples={est.samples}")
-    else:
+    if args.oracle_cmd == "closure":
         values = [parse_value(t) for t in args.values]
         closure = oracle_mod.closure_enumerate(values, args.depth, cap=args.cap)
         for v in closure:
             print(v.render())
         print(f"size: {len(closure)}")
+        return 0
+    try:  # mean and prob import numpy and scipy as they run
+        if args.oracle_cmd == "mean":
+            print(repr(oracle_mod.integrate_density_mean(parse_value(args.value))))
+        else:
+            est = oracle_mod.prob_leq(
+                parse_value(args.x), parse_value(args.y), samples=args.samples, seed=args.seed
+            )
+            print(f"estimate={est.estimate!r} stderr={est.stderr!r} samples={est.samples}")
+    except ImportError:
+        extra = "pip install 'fuzzyasp[oracle]'"
+        raise FuzzyAspError(f"oracle {args.oracle_cmd} needs numpy and scipy: {extra}") from None
     return 0
 
 

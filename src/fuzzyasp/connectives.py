@@ -19,10 +19,10 @@ path of ``conj`` reproduces that choice (``disj`` needs nothing, since
 The solver's body kernel (``solver._body`` and ``solver._contribution``)
 computes the same restricted forms in place, on float parameters, and calls
 :func:`_product` and :func:`_finite` for the general one.
-``tests/test_kernel.py`` holds it to the fold through ``conj`` and ``disj``
-bit for bit.  ``_contribution`` is the one disjunction fold: the fixpoint
-and ``is_supported`` fold the bodies ``_body`` evaluates, and
-``verify_answer_set`` folds the body values its model check kept.  The
+``tests/test_kernel.py`` holds it bit for bit to the fold through ``conj``
+and ``disj`` in ``tests/reference_semantics.py``.  ``_contribution`` is the
+one disjunction fold: the fixpoint folds the bodies ``_body`` evaluates,
+and ``verify_answer_set`` folds the body values its model check kept.  The
 operator closure (``oracle.closure_levels``) does the same for each pair
 of restricted values, with each value's reflected parameters ``1 - x``
 computed once per level, and calls ``conj`` and ``disj`` for a pair with

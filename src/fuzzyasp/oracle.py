@@ -105,12 +105,6 @@ def prob_leq(
     return ProbEstimate(p, float(np.sqrt(p * (1.0 - p) / samples)), samples)
 
 
-def _key(x: FuzzyTruth) -> tuple:
-    """Parameters rounded to 9 digits, then the truncated flag."""
-    a, b, c, d = x
-    return (round(a, 9), round(b, 9), round(c, 9), round(d, 9), a < 0.0 or d > 1.0)
-
-
 def closure_enumerate(
     weights, depth: int, *, cap: int = 100_000
 ) -> tuple[FuzzyTruth, ...]:
@@ -118,7 +112,8 @@ def closure_enumerate(
 
     Each level applies ``negate`` and ``naf`` to every value and ``conj``,
     ``disj`` and ``kagg`` to every ordered pair, and keeps the first value
-    produced for each ``_key``; a ``conj`` or ``disj`` that overflows
+    produced for each key: the four parameters rounded to 9 digits, then
+    whether the value is truncated.  A ``conj`` or ``disj`` that overflows
     (OrderViolation) and an aggregation tie are skipped (that pair simply
     has no such combination).  The loop, :func:`closure_levels`, leaves out
     results that cannot enter the closure, so its values, their order and
@@ -127,7 +122,7 @@ def closure_enumerate(
     - ``kagg`` returns one of its operands, which is stored under its own
       key already, so it never runs.
     - ``conj`` and ``disj`` are commutative up to the sign of a tied zero
-      in ``_product``'s min/max, which ``_key`` ignores, so ``(w, v)`` is
+      in ``_product``'s min/max, which the key ignores, so ``(w, v)`` is
       skipped once ``(v, w)`` has run.
     - A level that adds no value ends the loop: the next would repeat it.
 
@@ -159,7 +154,7 @@ def closure_levels(
     takes the componentwise products of ``conj`` and ``disj`` in place, zero
     rule included, and a pair with a truncated value calls them.  A result
     is keyed on its parameters, and a FuzzyTruth is built only for a key
-    not seen before.  Within one run the rounding in ``_key`` is memoised:
+    not seen before.  Within one run the rounding of the key is memoised:
     a closure has far fewer distinct floats than parameters.
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, as the
@@ -176,7 +171,7 @@ def closure_levels(
     rounded: dict[float, float] = {}
 
     def key(a: float, b: float, c: float, d: float) -> tuple:
-        # _key's tuple, up to the sign of a zero
+        # the key of closure_enumerate, up to the sign of a zero
         for x in (a, b, c, d):
             if x not in rounded:
                 rounded[x] = round(x, 9)

@@ -224,11 +224,11 @@ class GroundProgram:
     in first-occurrence order, and compiles each instance of each rule (one
     per binding of its variables to the universe) straight into literal
     ids, without building it.  A rule without variables is one instance of
-    itself.  ``rules`` is a view, built on first use, for the definitional
-    checks, error details and ``parse-only``: the ground rules in program
-    order, each written as its instance, so a constant keeps the form it
-    was written in (``-0.0`` stays ``-0.0``) even where its literal's id was
-    first given to an equal literal written otherwise.
+    itself.  ``rules`` is a view, built on first use, for error details,
+    ``parse-only`` and the tests' rule-level checks: the ground rules in
+    program order, each written as its instance, so a constant keeps the
+    form it was written in (``-0.0`` stays ``-0.0``) even where its
+    literal's id was first given to an equal literal written otherwise.
     """
 
     def __init__(self, rules=()):

@@ -14,7 +14,8 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .connectives import _finite, _product, conj, kagg, naf, negate
+# conj is unused here, but bench/tracing.py counts its calls through this name
+from .connectives import _finite, _product, conj, kagg, naf, negate  # noqa: F401
 from .errors import (
     AggregationTie,
     ClosureTooLarge,
@@ -34,9 +35,7 @@ from .program import (
     GroundProgram,
     Literal,
     LiteralTable,
-    Naf,
     Program,
-    Rule,
     ground,
 )
 from .truthspace import DEFAULT_EPS, TRUE, UNKNOWN, equal
@@ -135,33 +134,20 @@ def _contradiction(table: LiteralTable, values: list, ids, eps: float):
     return None
 
 
-def eval_body(i: Interpretation, rule: Rule) -> FuzzyTruth:
-    """Left-to-right conjunction fold of the body, then the rule weight.
-
-    Positive literals read their value from ``i``, inline constants pass
-    through, naf literals contribute naf(I(b)).  Order matters: conjunction
-    with truncated operands is not associative.
-    """
-    acc = None
-    for item in rule.body:
-        if isinstance(item, FuzzyTruth):
-            v = item
-        elif isinstance(item, Naf):
-            v = naf(i.value(item.literal))
-        else:
-            v = i.value(item)
-        acc = v if acc is None else conj(acc, v)
-    return conj(TRUE if acc is None else acc, rule.weight)
-
-
 def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None) -> tuple:
-    """:func:`eval_body` of a compiled body, as its ``(a, b, c, d)`` tuple.
+    """The value of a compiled rule body, as its ``(a, b, c, d)`` tuple.
 
-    ``naf_values`` freezes its naf items.  This is the solver's one body
-    kernel.  The conjunction is folded on float parameters: the restricted
-    form of :func:`~fuzzyasp.connectives.conj` in place, with the same bits
-    and the same zero rule, and its general form (which raises
-    OrderViolation on overflow) only when an operand is truncated.
+    The left-to-right conjunction fold of the body items, then the weight:
+    a literal reads ``values``, ``not b`` reads ``naf_values[b]`` when they
+    are given (frozen naf) and naf of ``values[b]`` otherwise, and an
+    inline value is itself; an empty body is TRUE.  Order matters:
+    conjunction with truncated operands is not associative.
+
+    This is the solver's one body kernel.  The conjunction is folded on
+    float parameters: the restricted form of
+    :func:`~fuzzyasp.connectives.conj` in place, with the same bits and the
+    same zero rule, and its general form (which raises OrderViolation on
+    overflow) only when an operand is truncated.
     """
     a = None
     for kind, x in body:
@@ -185,12 +171,8 @@ def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None
     return _finite(*_product(a, b, c, d, ya, yb, yc, yd))
 
 
-def satisfies(i: Interpretation, rule: Rule, eps: float = DEFAULT_EPS) -> bool:
-    """Head equals the body value or strictly exceeds it in either order."""
-    return _satisfied(i.value(rule.head), eval_body(i, rule), eps)
-
-
 def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
+    """A rule holds: its head equals its body value or strictly exceeds it in either order."""
     if equal(head, body, eps):
         return True
     if uncertainty_degree(head) < uncertainty_degree(body) - eps:
@@ -207,10 +189,10 @@ def _contribution(values: list, rules, naf_values, evaluate=_body) -> FuzzyTruth
     """Disjunction fold (program order) of the body values of one head's rules.
 
     Each rule's ``(a, b, c, d)`` is ``evaluate(values, *rule, naf_values)``:
-    :func:`_body` of its ``(body, weight)`` in the fixpoint and in
-    :func:`is_supported`, and :func:`_computed` of a ``(body value, None)``
-    pair in the support check of :func:`verify_answer_set`, which folds the
-    values its model check computed.  The restricted form of
+    :func:`_body` of its ``(body, weight)`` in the fixpoint, and
+    :func:`_computed` of a ``(body value, None)`` pair in the support check
+    of :func:`verify_answer_set`, which folds the values its model check
+    computed.  The restricted form of
     :func:`~fuzzyasp.connectives.disj` is taken in place on those
     parameters, so one value is built per head; a truncated operand takes
     its general form.
@@ -267,70 +249,29 @@ class Violation:
         )
 
 
-def is_supported(
-    i: Interpretation, gp: GroundProgram, eps: float = DEFAULT_EPS
-) -> Violation | None:
-    """First supportedness violation, or None.
+def _unsupported(gp: GroundProgram, values: list, eps: float, computed: list) -> Violation | None:
+    """First supportedness violation, heads in ``gp.heads`` order, or None.
 
+    ``computed[h]`` holds a ``(body value, None)`` pair for each of literal
+    h's rules in program order, the values :func:`verify_answer_set`'s
+    model check kept, which :func:`_computed` hands to :func:`_target`.
     Condition 1 covers single-rule heads, condition 2 the disjunctive
     combination of several rules, condition 3 the aggregation against a
     complement that also has rules.
     """
-    return _unsupported(gp, _values_on(gp, i), eps, gp.rules_of, _body)
-
-
-def _values_on(gp: GroundProgram, i: Interpretation) -> list:
-    """``i``'s values indexed by ``gp``'s literal ids."""
-    if i.table is gp.table:
-        return i.values
-    return [i.value(literal) for literal in gp.literals]
-
-
-def _unsupported(
-    gp: GroundProgram, values: list, eps: float, rules_of, evaluate
-) -> Violation | None:
-    """:func:`is_supported` on ``gp``'s literal ids, heads in ``gp.heads`` order.
-
-    ``rules_of[h]`` lists head h's rules in program order, in the form
-    ``evaluate`` reads (see :func:`_contribution`): ``gp.rules_of`` for
-    :func:`_body`, which reads naf from ``values``, or the body values
-    :func:`verify_answer_set` kept for :func:`_computed`.
-    """
     complement = gp.table.complement
     for head in gp.heads:
-        own = rules_of[head]
-        against = rules_of[complement[head]] if complement[head] >= 0 else ()
+        own = computed[head]
+        against = computed[complement[head]] if complement[head] >= 0 else ()
         condition = 3 if against else (1 if len(own) == 1 else 2)
         literal = gp.literals[head]
         try:
-            expected = _target(values, own, against, None, eps, evaluate)
+            expected = _target(values, own, against, None, eps, _computed)
         except AggregationTie:
             return Violation(literal, 3)
         if not equal(values[head], expected, eps):
             return Violation(literal, condition, expected, values[head])
     return None
-
-
-def reduct(gp: GroundProgram, i: Interpretation) -> GroundProgram:
-    """Freeze every naf literal at naf(I(b)); the result is positive.
-
-    The solver itself never builds reducts: it evaluates ``gp`` with the
-    frozen naf values passed alongside (see :func:`kmin_supported_model`).
-    The result is compiled from the rules of the ``gp.rules`` view.
-    """
-    rules = tuple(
-        Rule(
-            r.head,
-            tuple(
-                naf(i.value(item.literal)) if isinstance(item, Naf) else item
-                for item in r.body
-            ),
-            r.weight,
-            r.label,
-        )
-        for r in gp.rules
-    )
-    return GroundProgram(rules)
 
 
 def _fixpoint(
@@ -522,22 +463,23 @@ def verify_answer_set(
 
     The checks run in this order, and the first failure is the result:
     consistency (:func:`is_inconsistent`), the model check of each rule in
-    program order (:func:`satisfies`), support (:func:`is_supported`), and
-    k-minimality against the reduct's fixpoint.  Each rule body is
-    evaluated once: the model check keeps its value, and the support check
-    folds the kept values of each head's rules.
+    program order (the head equals its body value or exceeds it in truth or
+    in certainty), support (a :class:`Violation`, see
+    :func:`_unsupported`), and k-minimality against the reduct's fixpoint.
+    Each rule body is evaluated once: the model check keeps its value, and
+    the support check folds the kept values of each head's rules.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
         return CandidateResult(i, Status.INCONSISTENT, atom)
-    values = _values_on(gp, i)
+    values = i.values if i.table is gp.table else [i.value(l) for l in gp.literals]
     computed = [[] for _ in values]  # per head, (body value, None) per rule
     for pos, (head, body, weight) in enumerate(gp.compiled):
         value = _body(values, body, weight, None)
         if not _satisfied(values[head], value, eps):
             return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
         computed[head].append((value, None))
-    violation = _unsupported(gp, values, eps, computed, _computed)
+    violation = _unsupported(gp, values, eps, computed)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
     frozen = {b: naf(values[b]) for b in gp.naf_ids}

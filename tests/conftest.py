@@ -23,6 +23,13 @@ def any_values(draw) -> FuzzyTruth:
     return make(a, b, c, d)
 
 
+def closure_key(x: FuzzyTruth) -> tuple:
+    """The operator closure's key, which it keeps the first value of:
+    parameters rounded to 9 digits, then the truncated flag."""
+    a, b, c, d = x
+    return (round(a, 9), round(b, 9), round(c, 9), round(d, 9), a < 0.0 or d > 1.0)
+
+
 def approx_params(x: FuzzyTruth, params, tol=1e-9):
     __tracebackhide__ = True
     assert all(abs(p - q) <= tol for p, q in zip(x, params)), (

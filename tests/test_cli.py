@@ -569,6 +569,23 @@ class TestOracleCommand:
         assert "estimate=0.6" in out
         assert "stderr=" in out
 
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("scipy.integrate", ["mean", "tfn(0,0.5,1)"]),
+            ("numpy", ["prob", "ifn(0.3,0.7)", "ifn(0,1)", "--samples", "20000"]),
+        ],
+    )
+    def test_without_the_oracle_extra_one_error_line(self, capsys, monkeypatch, module, argv):
+        # a module that is None in sys.modules fails to import, as an
+        # uninstalled one does
+        monkeypatch.setitem(sys.modules, module, None)
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: oracle {argv[0]} needs numpy and scipy: pip install 'fuzzyasp[oracle]'\n"
+        )
+
     def test_closure(self, capsys):
         code, out, _ = run(capsys, "oracle", "closure", "ifn(1,1)", "--depth", "1")
         assert code == 0

@@ -27,9 +27,8 @@ from fuzzyasp import (
 )
 
 from fuzzyasp.connectives import _product
-from fuzzyasp.oracle import _key
 
-from conftest import any_values, approx_params, restricted_values
+from conftest import any_values, approx_params, closure_key, restricted_values
 
 core_params = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)
 HUGE = 1.7976931348623157e308  # the largest finite float
@@ -243,6 +242,6 @@ class TestUnrolledKernels:
     @example(trfn(-0.0, 0, -0.0, 1))
     def test_oracle_key_matches_the_tuple_form(self, x):
         expected = tuple(round(p, 9) for p in x) + (x.truncated,)
-        key = _key(x)
+        key = closure_key(x)
         assert bits(key[:4]) == bits(expected[:4])
         assert key[4] is expected[4]

@@ -4,7 +4,8 @@ The reference below recomputes every head from the previous pass until no
 value moves, with naf items frozen; on stratified programs it re-freezes
 naf at the values just found until they settle, so each stratum is solved
 from all-unknown once the strata below it are final.  It uses only the
-connectives and the definition-level checks, not the solver's fixpoint.
+connectives, through the rule-level definition in ``reference_semantics``,
+and not the solver's fixpoint.
 """
 
 import hypothesis.strategies as st
@@ -16,27 +17,21 @@ from fuzzyasp import (
     UNKNOWN,
     AggregationTie,
     FuzzyAspError,
-    FuzzyTruth,
     Interpretation,
     MonotonicityError,
-    Naf,
     OrderViolation,
-    conj,
-    disj,
     equal,
     ground,
     ifn,
     is_inconsistent,
-    is_supported,
-    kagg,
     naf,
-    negate,
     parse,
-    satisfies,
     solve,
     tfn,
     trfn,
 )
+
+from reference_semantics import head_target, is_supported, rules_by_head, satisfies
 
 WEIGHTS = (
     TRUE,
@@ -59,35 +54,14 @@ def jacobi(gp, frozen: dict) -> Interpretation | None:
     the value of every naf item.  None when 5000 passes do not settle;
     raises AggregationTie, and OrderViolation when a product overflows.
     """
-    current = dict.fromkeys(gp.literals, UNKNOWN)
-    by_head: dict = {}  # head -> its rules in program order, from gp.rules alone
-    for rule in gp.rules:
-        by_head.setdefault(rule.head, []).append(rule)
-
-    def fold(head):
-        acc = None
-        for rule in by_head[head]:
-            body = None
-            for item in rule.body:
-                if isinstance(item, FuzzyTruth):
-                    v = item
-                else:
-                    v = frozen[item.literal] if isinstance(item, Naf) else current[item]
-                body = v if body is None else conj(body, v)
-            body = conj(TRUE if body is None else body, rule.weight)
-            acc = body if acc is None else disj(acc, body)
-        return acc
-
+    current = Interpretation(dict.fromkeys(gp.literals, UNKNOWN))
+    by_head = rules_by_head(gp)
     for _ in range(5000):
-        new = {}
-        for head in by_head:
-            new[head] = fold(head)
-            if head.complement() in by_head:
-                new[head] = kagg(new[head], negate(fold(head.complement())))
-        settled = all(equal(current[h], v, EPS) for h, v in new.items())
-        current.update(new)
+        new = {head: head_target(current, by_head, head, EPS, frozen) for head in by_head}
+        settled = all(equal(current.value(h), v, EPS) for h, v in new.items())
+        current = Interpretation({**current.assignment, **new})
         if settled:
-            return Interpretation(current)
+            return current
     return None
 
 

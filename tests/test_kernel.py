@@ -2,8 +2,9 @@
 
 ``solver._body`` and ``solver._contribution`` fold a head's rules on float
 parameters, taking the restricted forms of ``conj`` and ``disj`` in place.
-The reference below is that fold written with the connectives themselves;
-the kernel must match it bit for bit, and raise where it raises.
+The reference is that fold written with the connectives themselves, in
+``reference_semantics``; the kernel must match it bit for bit, and raise
+where it raises.
 """
 
 import hypothesis.strategies as st
@@ -15,11 +16,7 @@ from fuzzyasp import (
     AggregationTie,
     FuzzyTruth,
     OrderViolation,
-    conj,
-    disj,
-    kagg,
     naf,
-    negate,
     tfn,
     trfn,
 )
@@ -27,39 +24,15 @@ from fuzzyasp.program import LIT, NAF, VALUE
 from fuzzyasp.solver import _body, _contribution, _target
 
 from conftest import any_values, restricted_values
+from reference_semantics import compiled_body, contribution, target
 from test_connectives import HUGE, bits, edge_values
 
 EPS = 1e-9
 
 
-def reference_body(values, body, weight, naf_values):
-    """Left-to-right ``conj`` fold of a compiled body, then the weight."""
-    acc = None
-    for kind, x in body:
-        if kind == LIT:
-            v = values[x]
-        elif kind == NAF:
-            v = naf(values[x]) if naf_values is None else naf_values[x]
-        else:
-            v = x
-        acc = v if acc is None else conj(acc, v)
-    return conj(TRUE if acc is None else acc, weight)
-
-
-def reference_contribution(values, rules, naf_values):
-    """``disj`` fold, in program order, of the rules' body values."""
-    acc = None
-    for body, weight in rules:
-        v = reference_body(values, body, weight, naf_values)
-        acc = v if acc is None else disj(acc, v)
-    return acc
-
-
-def reference_target(values, own, against, naf_values, eps):
-    value = reference_contribution(values, own, naf_values)
-    if against:
-        return kagg(value, negate(reference_contribution(values, against, naf_values)), eps)
-    return value
+def bodies(values, rules, naf_values):
+    """The reference body value of each compiled ``(body, weight)``, lazily."""
+    return (compiled_body(values, body, weight, naf_values) for body, weight in rules)
 
 
 def outcome(fn, *args):
@@ -125,7 +98,7 @@ class TestKernelBits:
     def test_body_matches_reference_fold(self, state, rules):
         values, naf_values = state
         for body, weight in rules:
-            expected = outcome(reference_body, values, body, weight, naf_values)
+            expected = outcome(compiled_body, values, body, weight, naf_values)
             got = outcome(_body, values, body, weight, naf_values)
             if isinstance(expected, tuple):  # a plain tuple: compare parameters only
                 expected, got = expected[1], got[1]
@@ -137,7 +110,7 @@ class TestKernelBits:
     @example(OVERFLOW, OVERFLOW_RULES)
     def test_contribution_matches_reference_fold(self, state, rules):
         values, naf_values = state
-        expected = outcome(reference_contribution, values, rules, naf_values)
+        expected = outcome(contribution, bodies(values, rules, naf_values))
         assert outcome(_contribution, values, rules, naf_values) == expected
 
     @settings(max_examples=250, deadline=None)
@@ -146,7 +119,8 @@ class TestKernelBits:
     @example(OVERFLOW, ZERO_RULES, OVERFLOW_RULES)
     def test_target_matches_reference_fold(self, state, own, against):
         values, naf_values = state
-        expected = outcome(reference_target, values, own, against, naf_values, EPS)
+        theirs = bodies(values, against, naf_values) if against else None
+        expected = outcome(target, bodies(values, own, naf_values), theirs, EPS)
         assert outcome(_target, values, own, against, naf_values, EPS) == expected
 
     def test_signed_zero_keeps_the_first_product(self):

@@ -29,7 +29,6 @@ from fuzzyasp import (
 )
 from fuzzyasp import oracle
 from fuzzyasp.oracle import (
-    _key,
     closure_enumerate,
     closure_levels,
     integrate_density_mean,
@@ -37,6 +36,7 @@ from fuzzyasp.oracle import (
     sample_density,
 )
 
+from conftest import closure_key
 from test_measures import random_values
 
 
@@ -164,14 +164,14 @@ class TestClosure:
         assert len(calls) == 2 + 3
 
     def test_overflowing_products_leave_only_distinct_finite_values(self):
-        # nan never equals itself, so a nan parameter would defeat _key
+        # nan never equals itself, so a nan parameter would defeat closure_key
         seeds = [
             trfn(-1e200, -0.0, 0.23971710407934088, 1e308),
             tfn(0.04092567671562876, 0.1, 0.41669566917644174),
         ]
         closure = closure_enumerate(seeds, 3)
         assert all(make(*v) == v for v in closure)
-        assert len({_key(v) for v in closure}) == len(closure)
+        assert len({closure_key(v) for v in closure}) == len(closure)
 
 
 def full_closure_loop(weights, depth, cap):
@@ -183,15 +183,15 @@ def full_closure_loop(weights, depth, cap):
     values = {}
     rounds = {}
     for w in weights:
-        values.setdefault(_key(w), w)
-        rounds.setdefault(_key(w), 0)
+        values.setdefault(closure_key(w), w)
+        rounds.setdefault(closure_key(w), 0)
     for level in range(1, depth + 1):
         current = list(values.values())
         added = False
         for v in current:
             for produced in (negate(v), naf(v)):
-                rounds.setdefault(_key(produced), level)
-                if values.setdefault(_key(produced), produced) is produced:
+                rounds.setdefault(closure_key(produced), level)
+                if values.setdefault(closure_key(produced), produced) is produced:
                     added = True
         for v, w in itertools.product(current, current):
             produced = []
@@ -201,14 +201,14 @@ def full_closure_loop(weights, depth, cap):
                 except (OrderViolation, AggregationTie):
                     pass
             for p in produced:
-                rounds.setdefault(_key(p), level)
-                if values.setdefault(_key(p), p) is p:
+                rounds.setdefault(closure_key(p), level)
+                if values.setdefault(closure_key(p), p) is p:
                     added = True
             if len(values) > cap:
                 raise ClosureTooLarge(f"closure exceeded {cap} values")
         if not added:
             break
-    return tuple(values.values()), [rounds[_key(v)] for v in values.values()]
+    return tuple(values.values()), [rounds[closure_key(v)] for v in values.values()]
 
 
 seed_core = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)

@@ -30,19 +30,15 @@ from fuzzyasp import (
     conj,
     disj,
     equal,
-    eval_body,
     ground,
     ifn,
     interpretations_equal,
     is_inconsistent,
-    is_supported,
     kmin_supported_model,
     measure,
     naf,
     oracle,
     parse,
-    reduct,
-    satisfies,
     solve,
     solver,
     tfn,
@@ -54,6 +50,7 @@ from fuzzyasp.program import VALUE
 
 from bruteforce_oracle import joint_solve
 from conftest import approx_params
+from reference_semantics import eval_body, is_supported, reduct, satisfies
 from test_engine import stratified_programs
 from test_oracle import seed_values
 
@@ -851,7 +848,13 @@ class TestKnownDefects:
 
 
 def _composed_verdict(gp, i, eps, max_iter):
-    """``verify_answer_set``'s (status, detail), composed from the public checks."""
+    """``verify_answer_set``'s (status, detail), composed from the reference checks.
+
+    ``satisfies``, ``is_supported`` and ``reduct`` come from
+    ``reference_semantics``, which folds through the public connectives and
+    shares no kernel with the solver; ``is_inconsistent`` and
+    ``kmin_supported_model`` are the solver's own.
+    """
     atom = is_inconsistent(i, eps)
     if atom is not None:
         return Status.INCONSISTENT, atom
@@ -889,7 +892,7 @@ _PERTURBED = (TRUE, FALSE, UNKNOWN, ifn(0.3, 0.7), ifn(0.6, 0.6), tfn(0.1, 0.6, 
 
 
 class TestVerdictOrder:
-    """``verify_answer_set`` reports what the public checks report, in their order."""
+    """``verify_answer_set`` reports what the reference checks report, in their order."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
