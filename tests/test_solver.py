@@ -549,8 +549,11 @@ class TestOrderDependentResults:
 
 class TestGuessLimits:
     # naf guess domain of this loop: 5, 15 and 131 values at depths 1, 2
-    # and 3, so 25, 225 and 17161 guesses for its two naf literals
-    WEIGHTED_LOOP = "a <- not b. [ifn(0.5,0.5)] b <- not a."
+    # and 3, so 25, 225 and 17161 guesses for its two naf literals.  The
+    # complement-coupled pair z, -z adds no seed (its weights are TRUE and
+    # UNKNOWN) and keeps the loop on the guessing path: without it the
+    # well-founded bounds pin a and b, and no domain is built.
+    WEIGHTED_LOOP = "a <- not b. [ifn(0.5,0.5)] b <- not a. z. -z. [ifn(0,1)]"
 
     def test_requested_depth_is_kept_when_it_fits(self):
         report = solve(parse(self.WEIGHTED_LOOP), guess_depth=2)
@@ -576,10 +579,12 @@ class TestGuessLimits:
         assert solve(parse("b. a <- b, not c."), max_guesses=0).guess_depth is None
 
     # five distinct weights: the depth-3 closure exceeds the closure cap,
-    # and the 1471 naf values of the depth-2 one give 1471**2 guesses
+    # and the 1471 naf values of the depth-2 one give 1471**2 guesses; z,
+    # -z keeps the loop guessed, as in WEIGHTED_LOOP
     FIVE_WEIGHTS = (
         "a <- not b. [ifn(0.11,0.11)] b <- not a. [ifn(0.13,0.13)] "
-        "c. [ifn(0.17,0.17)] d. [ifn(0.19,0.19)] e. [ifn(0.23,0.23)]"
+        "c. [ifn(0.17,0.17)] d. [ifn(0.19,0.19)] e. [ifn(0.23,0.23)] "
+        "z. -z. [ifn(0,1)]"
     )
 
     def test_closure_cap_lowers_the_depth(self):
