@@ -137,6 +137,14 @@ def closure_enumerate(
     return tuple(v for _, v in closure_levels(weights, depth, cap))
 
 
+def check_depth(depth: int) -> None:
+    """Raise OracleArgumentError unless 0 <= depth <= 4."""
+    if depth < 0:
+        raise OracleArgumentError("depth must be non-negative")
+    if depth > 4:
+        raise OracleArgumentError("depth must be at most 4")
+
+
 def closure_levels(
     weights, depth: int, cap: int = 100_000
 ) -> Iterator[tuple[int, FuzzyTruth]]:
@@ -160,10 +168,7 @@ def closure_levels(
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, as the
     first value is asked for.
     """
-    if depth < 0:
-        raise OracleArgumentError("depth must be non-negative")
-    if depth > 4:
-        raise OracleArgumentError("depth must be at most 4")
+    check_depth(depth)
     if cap < 1:
         raise OracleArgumentError("the cap must be at least 1")
     # round(x, 9) by float, so -0.0 shares 0.0's entry: a key may hold

@@ -41,6 +41,15 @@ from .program import (
 from .truthspace import DEFAULT_EPS, TRUE, UNKNOWN, equal
 
 DEFAULT_MAX_ITER = 10_000
+# alternations of :func:`_naf_bounds` at most, each two frozen fixpoints
+MAX_ALTERNATIONS = 200
+# :func:`_naf_bounds` reads a b within this of 0 or 1 as exactly that.  A
+# fixpoint stops within eps * r / (1 - r) of its limit where a cyclic
+# component contracts by r per round, so a b whose limit is 0 or 1 only
+# nears it; fed back as it is, that error can grow from one alternation to
+# the next and carry the bounds off an answer set.  1e-6 covers r up to
+# 0.999 at the default eps.
+SNAP = 1e-6
 
 
 class Interpretation:
@@ -647,6 +656,85 @@ def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_it
     return [(fix, guess) for _, fix, guess in accepted]
 
 
+def _monotone(gp: GroundProgram) -> bool:
+    """Whether ``gp`` is in the class where :func:`_naf_bounds` holds.
+
+    No head's complement has rules, so no ``kagg`` runs, and every weight
+    and inline value is restricted (``0 <= a`` and ``d <= 1``).  There the
+    b of each frozen fixpoint literal is taken to be monotone in every naf
+    value: ROADMAP item 11's hypothesis, which a property test checks.
+    """
+    complement, rules_of = gp.table.complement, gp.rules_of
+    if any(complement[h] >= 0 and rules_of[complement[h]] for h in gp.heads):
+        return False
+    return all(
+        0.0 <= x.a and x.d <= 1.0
+        for _, body, weight in gp.compiled
+        for x in (weight, *(x for kind, x in body if kind == VALUE))
+    )
+
+
+def _naf_point(b: float) -> FuzzyTruth:
+    """The naf value of any value whose b is ``b``."""
+    v = 1.0 - b
+    return FuzzyTruth(v, v, v, v)
+
+
+def _naf_bounds(gp: GroundProgram, eps: float, max_iter: int):
+    """Alternating-fixpoint bounds ``(lo, hi)`` on the b of each naf literal, or None.
+
+    ``F(x)`` is the b of each literal of ``gp.naf_ids`` (a list in that
+    order) in the frozen fixpoint at naf values ``1 - x``, taken as 0 or 1
+    when it lies within :data:`SNAP` of it.  Where every b is
+    monotone in every naf value (see :func:`_monotone`) F is antitone, so
+    from ``lo = 0`` each alternation ``hi = F(lo)``, ``lo = F(hi)`` keeps
+    every answer set's b between them (Van Gelder's alternating fixpoint).
+    It stops once every literal has ``hi - lo <= eps``, once ``lo`` does
+    not move, or after :data:`MAX_ALTERNATIONS`; None when a fixpoint
+    raises Inconsistent, NonConvergent or MonotonicityError.
+    """
+    naf_ids = gp.naf_ids
+
+    def bound(x: list) -> list:
+        frozen = {b: _naf_point(v) for b, v in zip(naf_ids, x)}
+        values = _fixpoint(gp, eps, max_iter, naf_values=frozen).values
+        bs = (values[b].b for b in naf_ids)
+        return [0.0 if v <= SNAP else 1.0 if v >= 1.0 - SNAP else v for v in bs]
+
+    lo = [0.0] * len(naf_ids)
+    try:
+        for _ in range(MAX_ALTERNATIONS):
+            hi = bound(lo)
+            lo, last = bound(hi), lo
+            if lo == last or all(h - l <= eps for l, h in zip(lo, hi)):
+                break
+    except (Inconsistent, NonConvergent, MonotonicityError):
+        return None
+    return lo, hi
+
+
+def _pinned_guesses(gp: GroundProgram, eps: float, max_iter: int) -> list | None:
+    """The one guess left when :func:`_naf_bounds` pins every naf literal.
+
+    None unless ``gp`` is :func:`_monotone` and its bounds have
+    ``hi - lo <= eps`` at every naf literal.  Then the guess is the frozen
+    naf assignment at ``lo``, and the result is ``[(fixpoint, guess)]``
+    when that fixpoint exists and its own naf values are the guess within
+    ``eps``, as in :func:`_self_consistent_guesses`, else ``[]``.
+    """
+    bounds = _naf_bounds(gp, eps, max_iter) if _monotone(gp) else None
+    if bounds is None or any(h - l > eps for l, h in zip(*bounds)):
+        return None
+    guess = {b: _naf_point(x) for b, x in zip(gp.naf_ids, bounds[0])}
+    try:
+        fix = _fixpoint(gp, eps, max_iter, naf_values=guess)
+    except (Inconsistent, NonConvergent, MonotonicityError):
+        return []
+    if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
+        return [(fix, guess)]
+    return []
+
+
 def solve(
     program: Program | GroundProgram,
     *,
@@ -671,18 +759,29 @@ def solve(
     inside is iterated as an operator trajectory; every other one reads
     final naf values and is evaluated as with naf frozen, so a program
     without a naf cycle (positive or stratified) has this fixpoint as its
-    only candidate.  When a dependency cycle runs through naf, the
-    self-consistent guesses follow.  A guess is a frozen naf assignment,
+    only candidate.  When a dependency cycle runs through naf, more
+    candidates follow, and ``guess_depth`` is checked first (0 to 4, else
+    OracleArgumentError).
+
+    If the program is :func:`_monotone` (no head whose complement has
+    rules, every weight and inline value restricted), the alternating
+    fixpoint bounds the b of every naf literal first (see
+    :func:`_naf_bounds`).  When it pins them all within ``eps``, the only
+    guess is the frozen fixpoint at the pinned naf values, kept when its
+    own naf values are those within ``eps`` (see :func:`_pinned_guesses`);
+    no guess domain is built and ``report.guess_depth`` stays None.
+
+    Every other program with a naf cycle is guessed: the self-consistent
+    guesses follow the first fixpoint.  A guess is a frozen naf assignment,
     from each naf literal id to a value of the naf image of the operator
-    closure of the program weights (depth ``guess_depth``, 0 to 4, else
-    OracleArgumentError; lowered while the closure exceeds its cap or the
-    joint guesses, ``len(domain) ** len(gp.naf_ids)``, exceed
-    ``max_guesses``; GuessLimitExceeded when even depth 1 does not fit,
-    see :func:`_naf_guess_domain`).  Its
-    frozen fixpoint, evaluated in the finer order where naf is no
-    dependency, is a candidate when its own naf values are the guess; one
-    that is inconsistent, does not converge or raises some head's
-    uncertainty is none.  The guesses are not enumerated jointly: they are
+    closure of the program weights (depth ``guess_depth``, lowered while
+    the closure exceeds its cap or the joint guesses,
+    ``len(domain) ** len(gp.naf_ids)``, exceed ``max_guesses``;
+    GuessLimitExceeded when even depth 1 does not fit, see
+    :func:`_naf_guess_domain`).  Its frozen fixpoint, evaluated in the
+    finer order where naf is no dependency, is a candidate when its own naf
+    values are the guess; one that is inconsistent, does not converge or
+    raises some head's uncertainty is none.  The guesses are not enumerated jointly: they are
     searched one frozen component at a time, a naf literal guessed only
     where it is read before its value is final and filtered everywhere
     else (see :func:`_self_consistent_guesses`).  The candidates come in
@@ -712,11 +811,19 @@ def solve(
     except NonConvergent:
         report.candidates.append(CandidateResult(None, Status.NON_CONVERGENT, None))
     if naf_cycle:
-        domain, report.guess_depth = _naf_guess_domain(
-            gp, guess_depth, len(naf_ids), max_guesses
-        )
-        # every answer set with naf values in the domain is the fixpoint at them
-        found += _self_consistent_guesses(gp, domain, eps, max_iter)
+        from .oracle import check_depth
+
+        check_depth(guess_depth)
+        pinned = _pinned_guesses(gp, eps, max_iter)
+        if pinned is not None:
+            # every answer set's naf values are the pinned ones within eps
+            found += pinned
+        else:
+            domain, report.guess_depth = _naf_guess_domain(
+                gp, guess_depth, len(naf_ids), max_guesses
+            )
+            # every answer set with naf values in the domain is the fixpoint at them
+            found += _self_consistent_guesses(gp, domain, eps, max_iter)
 
     candidates: list[Interpretation] = []
     for fix, frozen in found:

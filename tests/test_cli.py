@@ -297,6 +297,7 @@ class TestSolveCommand:
             "tests/fixtures/truncated_paths.fasp",
             "tests/fixtures/truncated_paths.fasp --trace",
             "tests/fixtures/closure_cap.fasp",
+            "tests/fixtures/pinned_guess_limit.fasp",
             "tests/fixtures/lexer_edges.fasp",
             "tests/fixtures/repeated_values.fasp",
             "tests/fixtures/repeated_values.fasp --trace",

@@ -7,7 +7,7 @@ import struct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 
 from fuzzyasp import (
     FALSE,
@@ -47,6 +47,7 @@ from fuzzyasp import (
     verify_answer_set,
 )
 from fuzzyasp.program import VALUE
+from fuzzyasp.truthspace import DEFAULT_EPS
 
 from bruteforce_oracle import joint_solve
 from conftest import approx_params
@@ -617,8 +618,12 @@ class TestGuessLimits:
 
     @pytest.mark.parametrize("depth, message", [(-1, "non-negative"), (5, "at most 4")])
     def test_depth_out_of_range(self, depth, message):
-        with pytest.raises(OracleArgumentError, match=f"depth must be {message}"):
-            solve(parse(self.WEIGHTED_LOOP), guess_depth=depth)
+        # checked on every program with a naf cycle, also where the
+        # well-founded bounds pin every naf literal and no domain is built
+        pinned = self.WEIGHTED_LOOP.partition(" z.")[0]
+        for source in (self.WEIGHTED_LOOP, pinned):
+            with pytest.raises(OracleArgumentError, match=f"depth must be {message}"):
+                solve(parse(source), guess_depth=depth)
 
     def test_depth_zero_guesses_the_seeds(self):
         # the bare seeds TRUE and UNKNOWN give the crisp naf values 0 and 1
@@ -722,18 +727,40 @@ _CYCLES = (
 _BODY_ITEMS = ("c0", "c1", "not c0", "not c1", "q0", "q1", "not q0", "not z", "-c0",
                "ifn(0.3,0.7)", "tfn(0.1,0.6,1.2)")
 _HEADS = ("q0", "q1", "-q0", "c0")
+# what takes a program out of the class of solve's well-founded bounds
+_OUTSIDE = (" [tfn(0.4,0.4,1.5)]", " [tfn(0.1,0.6,1.2)]", "tfn(0.1,0.6,1.2)", "-q0",
+            _CYCLES[3])
 
 
 @st.composite
-def layered_naf_programs(draw) -> str:
-    """A naf cycle on c0 and c1, and strata above it that read ``not`` of it."""
-    rules = [r + draw(st.sampled_from(_WEIGHTS)) for r in draw(st.sampled_from(_CYCLES))]
+def layered_naf_programs(draw, monotone=False) -> str:
+    """A naf cycle on c0 and c1, and strata above it that read ``not`` of it.
+
+    With ``monotone``, only programs in the class where ``solve`` takes
+    well-founded bounds: no complement head and no truncated value.
+    """
+
+    def pick(options):
+        return st.sampled_from([x for x in options if not (monotone and x in _OUTSIDE)])
+
+    rules = [r + draw(pick(_WEIGHTS)) for r in draw(pick(_CYCLES))]
     for _ in range(draw(st.integers(1, 4))):
-        head = draw(st.sampled_from(_HEADS))
-        body = draw(st.lists(st.sampled_from(_BODY_ITEMS), max_size=3))
+        head = draw(pick(_HEADS))
+        body = draw(st.lists(pick(_BODY_ITEMS), max_size=3))
         rule = f"{head} <- {', '.join(body)}." if body else f"{head}."
-        rules.append(rule + draw(st.sampled_from(_WEIGHTS)))
+        rules.append(rule + draw(pick(_WEIGHTS)))
     return "\n".join(draw(st.permutations(rules)))
+
+
+# the guess limits of the joint-search properties: a non-convergent guess
+# stops at 200 rounds, the joint loop at about 2,000 fixpoints, and a
+# depth-2 closure is quick to enumerate
+_LIMITS = dict(max_iter=200, guess_depth=2, max_guesses=2_000)
+
+
+def _pinned(gp):
+    """Whether solve's well-founded bounds pin every naf literal of ``gp``."""
+    return solver._pinned_guesses(gp, DEFAULT_EPS, _LIMITS["max_iter"]) is not None
 
 
 def _bits(x):
@@ -765,16 +792,42 @@ class TestGuessSearch:
     # a cyclic frozen component that each branch must start from unknown
     @example("c0 <- not c1.\nc1 <- not c0.\nq0 <- c0, q0.")
     def test_same_candidates_as_the_joint_guess_loop(self, source):
-        # a non-convergent guess stops at 200 rounds, the joint loop at about
-        # 2,000 fixpoints, and a depth-2 closure is quick to enumerate
+        # a program whose naf literals are all pinned guesses nothing; see
+        # test_pinned_programs_keep_every_joint_answer_set
         gp = ground(parse(source))
-        limits = dict(max_iter=200, guess_depth=2, max_guesses=2_000)
+        assume(not _pinned(gp))
 
         def searched():
-            report = solve(gp, **limits)
+            report = solve(gp, **_LIMITS)
             return report.candidates, report.guess_depth
 
-        assert _outcome(searched) == _outcome(lambda: joint_solve(gp, **limits))
+        assert _outcome(searched) == _outcome(lambda: joint_solve(gp, **_LIMITS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layered_naf_programs(monotone=True))
+    # c1 converges to 1 and q0 doubles its distance from it: the joint loop
+    # reports the first fixpoint, q0 = 1.6e-9, and the guess c1 = 1, q0 = 0,
+    # which the bounds reach only by taking c1 as exactly 1 (solver.SNAP)
+    @example("c0 <- not c1. [ifn(0.6,0.6)]\nc1 <- not c0.\nq0 <- not c1.\nq0 <- not c1.")
+    def test_pinned_programs_keep_every_joint_answer_set(self, source):
+        # the joint loop's answer sets are all reported, and an answer set
+        # it does not report (its naf values lie outside the guess domain)
+        # passes verify_answer_set
+        gp = ground(parse(source))
+        assume(_pinned(gp))
+        report = solve(gp, **_LIMITS)
+        assert report.guess_depth is None
+        try:
+            joint, _ = joint_solve(gp, **_LIMITS)
+        except GuessLimitExceeded:
+            joint = []
+        joint = [r.interpretation for r in joint if r.status is Status.ANSWER_SET]
+        for i in joint:
+            assert any(interpretations_equal(i, m) for m in report.answer_sets)
+        for m in report.answer_sets:
+            if not any(interpretations_equal(m, i) for i in joint):
+                result = verify_answer_set(gp, m, max_iter=_LIMITS["max_iter"])
+                assert result.status is Status.ANSWER_SET
 
     def test_a_literal_off_every_naf_cycle_is_filtered_not_guessed(self, monkeypatch):
         # a reads not c, and c's rule comes later, but no naf cycle runs
@@ -811,6 +864,92 @@ class TestGuessSearch:
         end = {m.value(lit("a")): m.value(lit("c1200")) for m in deep.answer_sets}
         assert equal(end[TRUE], ifn(0.99**1200, 1))
         assert equal(end[FALSE], FALSE)
+
+
+class TestWellFoundedBounds:
+    """The alternating-fixpoint bounds that replace guessing when they pin every naf literal."""
+
+    # Each fixpoint stops once a round moves no value by more than eps = 1e-9,
+    # so it lies within eps * r / (1 - r) of its limit on a component that
+    # contracts by r per round, and the bounds and the answer sets are such
+    # fixpoints: 1e-7 covers r up to 0.99.
+    SLACK = 1e-7
+
+    DRIFT = "q0 <- c1. c1 <- not c0. q1. c0 <- not c1. [ifn(0.5,1)] c0 <- not c1, c0, not q0."
+
+    @settings(max_examples=100, deadline=None)
+    @given(layered_naf_programs(monotone=True))
+    @example(DRIFT)
+    def test_every_answer_set_lies_within_the_bounds(self, source):
+        # ROADMAP item 11's hypothesis: in the class, every fixpoint b is
+        # monotone in every naf value, so the alternation brackets each
+        # answer set's naf literals
+        gp = ground(parse(source))
+        assert solver._monotone(gp)
+        bounds = solver._naf_bounds(gp, DEFAULT_EPS, _LIMITS["max_iter"])
+        assume(bounds is not None)
+        try:
+            results, _ = joint_solve(gp, **_LIMITS)
+        except GuessLimitExceeded:
+            assume(False)
+        for r in results:
+            if r.status is Status.ANSWER_SET:
+                for b, lo, hi in zip(gp.naf_ids, *bounds):
+                    assert lo - self.SLACK <= r.interpretation.values[b].b <= hi + self.SLACK
+
+    def test_a_fixpoint_that_only_nears_1_does_not_pin_an_even_loop(self):
+        # c0's own cycle stops at b = 1 - 9.3e-10.  Fed back as it is, that
+        # error doubles with each alternation, until the bounds pin c0 at 0
+        # and c1 at 1 and lose the answer set with c0 at 1.
+        gp = ground(parse(self.DRIFT))
+        assert solver._naf_bounds(gp, DEFAULT_EPS, 10_000) == ([0.0] * 3, [1.0] * 3)
+        report = solve(gp)
+        assert report.guess_depth == 2
+        found = sorted(round(m.value(lit("c0")).b) for m in report.answer_sets)
+        assert found == [0, 1]
+
+    def test_a_complement_head_stays_on_the_guessing_path(self):
+        # outside the class: the bounds, taken anyway, pin c0 and c1 near
+        # 0.375, yet the guesses find an answer set with c0 at 1 and c1 at 0
+        gp = ground(parse(
+            "c0 <- not c1. [tfn(0.1,0.6,1.2)] c1 <- not c0. [tfn(0.1,0.6,1.2)] "
+            "-c0 <- c1. [tfn(0.1,0.6,1.2)] q0. [tfn(0.4,0.4,1.5)]"
+        ))
+        assert not solver._monotone(gp)
+        lo, hi = solver._naf_bounds(gp, DEFAULT_EPS, 10_000)
+        assert all(h - l <= DEFAULT_EPS and abs(l - 0.375) <= DEFAULT_EPS for l, h in zip(lo, hi))
+        report = solve(gp)
+        assert report.guess_depth == 2
+        assert [c.status for c in report.candidates] == [Status.NON_CONVERGENT, Status.ANSWER_SET]
+        (model,) = report.answer_sets
+        expected = {"c0": TRUE, "c1": FALSE, "n_c0": FALSE, "q0": tfn(0.4, 0.4, 1.5)}
+        assert interpretations_equal(model, interp(**expected))
+
+    @pytest.mark.parametrize("w", [0.5, 0.6, 0.8])
+    def test_a_pinned_weighted_loop_builds_no_guess_domain(self, monkeypatch, w):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_naf_guess_domain called")
+
+        monkeypatch.setattr(solver, "_naf_guess_domain", refuse)
+        report = solve(parse(f"c <- not d. [ifn({w},{w})] d <- not c. [ifn({w},{w})]"))
+        assert report.guess_depth is None
+        (model,) = report.answer_sets
+        for name in "cd":
+            assert equal(model.value(lit(name)), ifn(w / (1 + w), w / (1 + w)), 1e-8)
+
+    def test_a_crisp_loop_leaves_after_one_alternation(self, monkeypatch):
+        # lo stays 0 and hi stays 1: two frozen fixpoints, then guessing
+        calls = []
+        fixpoint = solver._fixpoint
+
+        def counting(gp, eps, max_iter, **kwargs):
+            calls.append(kwargs.get("naf_values") is not None)
+            return fixpoint(gp, eps, max_iter, **kwargs)
+
+        monkeypatch.setattr(solver, "_fixpoint", counting)
+        gp = ground(parse("a <- not b. b <- not a."))
+        assert solver._naf_bounds(gp, DEFAULT_EPS, 100) == ([0.0, 0.0], [1.0, 1.0])
+        assert calls == [True, True]
 
 
 class TestKnownDefects:
