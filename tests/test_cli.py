@@ -290,6 +290,7 @@ class TestSolveCommand:
             "programs/choice.fasp",
             "programs/flying.fasp",
             "tests/fixtures/crisp_loop3.fasp",
+            "tests/fixtures/crisp_loop5.fasp",
             "tests/fixtures/weighted_loop.fasp",
             "tests/fixtures/naf_strata.fasp",
             "tests/fixtures/crisp_loop3.fasp --trace",
