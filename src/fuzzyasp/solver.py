@@ -10,8 +10,10 @@ themselves as the fixpoint of their own reduct.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 # conj is unused here, but bench/tracing.py counts its calls through this name
@@ -345,14 +347,35 @@ def _evaluate(
 
     Its heads start unknown; every literal it reads from outside itself
     must already hold its final value.  Raises as :func:`_fixpoint` does.
+
+    An acyclic component has one head, which none of its rules read, so it
+    is evaluated in one step: one :func:`_target`, one round counted and
+    traced, then the contradiction check.  Its OrderViolation is
+    ``NonConvergent(1)``.
     """
     heads, cyclic, naf_inside, plan = component
-    if cyclic:  # an acyclic component's one round reads none of its heads
-        for head in heads:
-            values[head] = UNKNOWN
-    # states of a naf cycle's trajectory so far
-    seen = {UNKNOWN * len(heads)} if naf_inside else None
-    for rounds in range(1, (max_iter if cyclic else 1) + 1):
+    if not cyclic:
+        ((head, own, against),) = plan
+        try:
+            values[head] = _target(values, own, against, naf_values, eps)
+        except AggregationTie as exc:
+            raise Inconsistent(gp.literals[head].atom) from exc
+        except OrderViolation as exc:
+            raise NonConvergent(1) from exc
+        if report is not None:
+            report.iterations += 1
+        if trace is not None:
+            trace.append(Interpretation.of(gp.table, list(values)))
+        atom = _contradiction(gp.table, values, heads, eps)
+        if atom is not None:
+            raise Inconsistent(atom)
+        return
+    for head in heads:
+        values[head] = UNKNOWN
+    seen: dict = {}  # states of a naf cycle's trajectory so far, see _revisited
+    if naf_inside:
+        _revisited(seen, [UNKNOWN] * len(heads))
+    for rounds in range(1, max_iter + 1):
         new = []
         for head, own, against in plan:
             try:
@@ -361,15 +384,13 @@ def _evaluate(
                 raise Inconsistent(gp.literals[head].atom) from exc
             except OrderViolation as exc:
                 raise NonConvergent(rounds) from exc
-        previous = [values[h] for h in heads] if cyclic else None
+        previous = [values[h] for h in heads]
         for head, value in zip(heads, new):
             values[head] = value
         if report is not None:
             report.iterations += 1
         if trace is not None:
             trace.append(Interpretation.of(gp.table, list(values)))
-        if not cyclic:
-            break  # its first round started from unknown: nothing to compare
         if not naf_inside:
             for head, old, value in zip(heads, previous, new):
                 if uncertainty_degree(value) > uncertainty_degree(old) + eps:
@@ -378,17 +399,37 @@ def _evaluate(
                     )
         if all(equal(old, value, eps) for old, value in zip(previous, new)):
             break
-        if naf_inside:
-            state = tuple(round(p, 12) for v in new for p in v)
-            if state in seen:
-                raise NonConvergent(rounds)
-            seen.add(state)
+        if naf_inside and _revisited(seen, new):
+            raise NonConvergent(rounds)
     else:
         raise NonConvergent(max_iter)
     if not naf_inside:
         atom = _contradiction(gp.table, values, heads, eps)
         if atom is not None:
             raise Inconsistent(atom)
+
+
+def _revisited(seen: dict, state: list) -> bool:
+    """Whether a trajectory visited ``state`` before; records it when not.
+
+    A state is a list of head values, and two states are the same when
+    every parameter of both rounds alike to 12 places.  ``seen`` is keyed
+    by the rounded b of a state's first value: it holds the first state
+    with a key as it is, and the whole state is rounded only once another
+    shares that key, which turns the entry into a set of rounded states.
+    """
+    key = round(state[0].b, 12)
+    states = seen.get(key)
+    if states is None:
+        seen[key] = state
+        return False
+    if isinstance(states, list):
+        states = seen[key] = {tuple(round(p, 12) for v in states for p in v)}
+    rounded = tuple(round(p, 12) for v in state for p in v)
+    if rounded in states:
+        return True
+    states.add(rounded)
+    return False
 
 
 def kmin_supported_model(
@@ -466,9 +507,9 @@ def verify_answer_set(
     ``gp.naf_ids``.  When :func:`solve` computed the candidate itself as the
     fixpoint of ``gp`` frozen at that very assignment (the fixpoint of a
     program without a naf cycle, or a guess fixpoint whose own naf values
-    are its guess), that fixpoint is the candidate and is not computed again;
-    every check still runs.  A failed rule is reported from the
-    ``gp.rules`` view.
+    are its guess), that fixpoint is the candidate: it is not computed
+    again, and k-minimality holds without comparing the candidate with
+    itself.  A failed rule is reported from the ``gp.rules`` view.
 
     The checks run in this order, and the first failure is the result:
     consistency (:func:`is_inconsistent`), the model check of each rule in
@@ -492,18 +533,18 @@ def verify_answer_set(
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
     frozen = {b: naf(values[b]) for b in gp.naf_ids}
-    # a naf value is 1 - b, never -0.0: values that are == have equal bits
-    if i._frozen_at == frozen:
-        fix = i
-    else:
+    # a naf value is 1 - b, never -0.0: values that are == have equal bits.
+    # A candidate computed at these is its reduct's fixpoint, and its finite
+    # values are equal to themselves within eps.
+    if i._frozen_at != frozen:
         try:
             fix = kmin_supported_model(gp, eps=eps, max_iter=max_iter, naf_values=frozen)
         except Inconsistent as exc:
             return CandidateResult(i, Status.INCONSISTENT, exc.atom)
         except NonConvergent:
             return CandidateResult(i, Status.NON_CONVERGENT, None)
-    if not interpretations_equal(fix, i, eps):
-        return CandidateResult(i, Status.NOT_K_MINIMAL, fix)
+        if not interpretations_equal(fix, i, eps):
+            return CandidateResult(i, Status.NOT_K_MINIMAL, fix)
     return CandidateResult(i, Status.ANSWER_SET)
 
 
@@ -735,6 +776,50 @@ def _pinned_guesses(gp: GroundProgram, eps: float, max_iter: int) -> list | None
     return []
 
 
+def _distinct(found: list, naf_ids: tuple, eps: float) -> list:
+    """The fixpoints of ``found`` not within ``eps`` of an earlier kept one.
+
+    ``found`` holds ``(fixpoint, frozen)`` pairs on one literal table; each
+    fixpoint kept gets ``_frozen_at = frozen``, and they keep their order.
+    The rule is that of comparing each fixpoint with every one kept before
+    it by :func:`interpretations_equal`, but the kept ones are indexed by
+    their b at each id of ``naf_ids``: two values within ``eps`` have b
+    within ``eps`` (the test :func:`~fuzzyasp.truthspace.equal` makes), so
+    a fixpoint is compared only with the kept ones whose key is built of
+    such near values.  A sorted list of the kept b values per literal
+    gives them.  When those keys outnumber the kept fixpoints, it is
+    compared with every kept one instead.
+    """
+    kept: list[Interpretation] = []
+    index: dict[tuple, list] = {}  # key -> the kept fixpoints with that key
+    sorted_bs: list[list] = [[] for _ in naf_ids]  # per naf id, the kept keys' b
+    for fix, frozen in found:
+        values = fix.values
+        key = tuple([values[b].b for b in naf_ids])
+        near = []
+        for x, bs in zip(key, sorted_bs):
+            # ``abs(x - y)`` is monotone in y, so the near ones are a run
+            start = end = bisect.bisect_left(bs, x)
+            while start and abs(x - bs[start - 1]) <= eps:
+                start -= 1
+            while end < len(bs) and abs(x - bs[end]) <= eps:
+                end += 1
+            near.append(bs[start:end])
+        if math.prod(map(len, near)) > len(kept):
+            others = kept
+        else:
+            others = [c for k in itertools.product(*near) for c in index.get(k, ())]
+        if any(interpretations_equal(fix, c, eps) for c in others):
+            continue
+        fix._frozen_at = frozen
+        kept.append(fix)
+        index.setdefault(key, []).append(fix)
+        for x, bs, run in zip(key, sorted_bs, near):
+            if x not in run:  # the near run holds x when the list does
+                bisect.insort(bs, x)
+    return kept
+
+
 def solve(
     program: Program | GroundProgram,
     *,
@@ -785,8 +870,13 @@ def solve(
     searched one frozen component at a time, a naf literal guessed only
     where it is read before its value is final and filtered everywhere
     else (see :func:`_self_consistent_guesses`).  The candidates come in
-    the joint enumeration's order and bits all the same.  Candidates equal
-    within ``eps`` to an earlier one are dropped.
+    the joint enumeration's order and bits all the same.
+
+    A candidate equal within ``eps`` to an earlier kept one, by
+    :func:`interpretations_equal`, is dropped.  Only near kept ones are
+    compared: those whose b at every naf literal is within ``eps`` of the
+    candidate's, found from the kept b values sorted per naf literal (see
+    :func:`_distinct`).
 
     Each candidate remembers the frozen naf assignment it was computed at:
     its guess, or its own naf values for the first fixpoint of a program
@@ -825,12 +915,7 @@ def solve(
             # every answer set with naf values in the domain is the fixpoint at them
             found += _self_consistent_guesses(gp, domain, eps, max_iter)
 
-    candidates: list[Interpretation] = []
-    for fix, frozen in found:
-        if not any(interpretations_equal(fix, c, eps) for c in candidates):
-            fix._frozen_at = frozen
-            candidates.append(fix)
-    for candidate in candidates:
+    for candidate in _distinct(found, naf_ids, eps):
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)
         candidate._frozen_at = None
         report.candidates.append(result)

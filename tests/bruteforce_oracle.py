@@ -186,6 +186,21 @@ class BruteForce:
         return found
 
 
+def pairwise_distinct(found, eps=EPS):
+    """``solve``'s candidate dedup rule, comparing each fixpoint with every kept one.
+
+    ``found`` holds ``(fixpoint, frozen)`` pairs; a fixpoint is kept unless
+    ``interpretations_equal`` puts it within ``eps`` of one kept before it,
+    and each kept one gets ``_frozen_at = frozen``.
+    """
+    candidates = []
+    for fix, frozen in found:
+        if not any(solver.interpretations_equal(fix, c, eps) for c in candidates):
+            fix._frozen_at = frozen
+            candidates.append(fix)
+    return candidates
+
+
 def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
                 max_guesses=100_000):
     """``solve``'s candidates and guess depth, from the joint guess loop.
@@ -214,10 +229,7 @@ def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
                 continue
             if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
                 found.append(fix)
-    candidates = []
-    for fix in found:
-        if not any(solver.interpretations_equal(fix, c, eps) for c in candidates):
-            candidates.append(fix)
+    candidates = pairwise_distinct([(fix, None) for fix in found], eps)
     results += [
         solver.verify_answer_set(gp, c, eps=eps, max_iter=max_iter) for c in candidates
     ]

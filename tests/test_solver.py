@@ -1,6 +1,8 @@
 import functools
+import itertools
 import json
 import logging
+import math
 import pathlib
 import random
 import struct
@@ -49,7 +51,7 @@ from fuzzyasp import (
 from fuzzyasp.program import VALUE
 from fuzzyasp.truthspace import DEFAULT_EPS
 
-from bruteforce_oracle import joint_solve
+from bruteforce_oracle import joint_solve, pairwise_distinct
 from conftest import approx_params
 from reference_semantics import eval_body, is_supported, reduct, satisfies
 from test_engine import stratified_programs
@@ -288,6 +290,16 @@ class TestVerifyAnswerSet:
         violation = result.detail
         assert (violation.literal, violation.condition, violation.actual) == (lit("a"), 3, TRUE)
         approx_params(violation.expected, (0.8, 0.8, 1.0, 1.0))
+
+    def test_a_candidate_at_its_own_naf_values_is_not_compared_with_itself(self, monkeypatch):
+        # each guess fixpoint of the even loop is its own reduct's fixpoint,
+        # and the two have different keys in the dedup index
+        def compared(*args):
+            raise AssertionError("interpretations_equal called")
+
+        monkeypatch.setattr(solver, "interpretations_equal", compared)
+        report = solve(parse("a <- not b. b <- not a."))
+        assert len(report.answer_sets) == 2
 
     def test_not_supported_aggregation_tie(self):
         # both sides are equally uncertain and disagree: no supported value
@@ -1082,3 +1094,155 @@ class TestVerdictOrder:
         got = outcome(verified)
         event(str(got[0]))
         assert got == outcome(lambda: _composed_verdict(gp, i, eps, max_iter)), source
+
+
+def _near_values(eps):
+    """b values around 0, 0.5 and 1 that tie, or sit eps apart or just inside or outside it."""
+    out = []
+    for x in (0.0, -0.0, 0.5, 1.0):
+        out += [x, x + eps, x - eps]
+        out += [math.nextafter(x + eps, math.inf), math.nextafter(x + eps, -math.inf)]
+    return out
+
+
+@st.composite
+def candidate_lists(draw, eps):
+    """(naf_ids, rows): value rows on one table of up to 4 literals.
+
+    Some literals are naf ids, and a row often copies an earlier one with
+    one value redrawn, so rows agree at every naf id yet differ elsewhere,
+    at another literal or at a parameter other than b.
+    """
+    n = draw(st.integers(1, 4))
+    naf_ids = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, n))])
+    pool = st.sampled_from(_near_values(eps))
+    value = st.builds(lambda b, d: FuzzyTruth(b, b, d, d), pool, pool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if rows and draw(st.booleans()):
+            row = list(draw(st.sampled_from(rows)))
+            row[draw(st.integers(0, n - 1))] = draw(value)
+        else:
+            row = [draw(value) for _ in range(n)]
+        rows.append(row)
+    return naf_ids, rows
+
+
+class TestCandidateDedup:
+    """``solver._distinct`` keeps what the pairwise rule of ``pairwise_distinct`` keeps."""
+
+    @staticmethod
+    def found(rows):
+        table = Interpretation({lit(f"p{k}"): UNKNOWN for k in range(len(rows[0]))}).table
+        return [Interpretation.of(table, list(row)) for row in rows]
+
+    def assert_same_as_pairwise(self, naf_ids, rows, eps):
+        frozen = [object() for _ in rows]
+
+        def kept(distinct):
+            found = self.found(rows)
+            out = distinct(list(zip(found, frozen)))
+            positions = [next(k for k, f in enumerate(found) if f is c) for c in out]
+            assert all(found[k]._frozen_at is frozen[k] for k in positions)
+            assert all(f._frozen_at is None for k, f in enumerate(found) if k not in positions)
+            return positions
+
+        got = kept(lambda found: solver._distinct(found, naf_ids, eps))
+        assert got == kept(lambda found: pairwise_distinct(found, eps))
+        return got
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_candidates_as_the_pairwise_rule(self, eps, data):
+        naf_ids, rows = data.draw(candidate_lists(eps))
+        if rows:
+            self.assert_same_as_pairwise(naf_ids, rows, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+    def test_without_naf_literals(self, eps):
+        # every candidate has the empty key; -0.0 and 0.0 tie
+        zero, signed = FuzzyTruth(0.0, 0.0, 1.0, 1.0), FuzzyTruth(-0.0, -0.0, 1.0, 1.0)
+        far = FuzzyTruth(0.0, 0.0, 1.0, 0.5)
+        assert self.assert_same_as_pairwise((), [[zero], [signed], [far], [zero]], eps) == [0, 2]
+
+    def test_worst_case_compares_with_every_kept_candidate(self, monkeypatch):
+        # near b values at the first two naf ids make 3 * 3 keys for 6 kept
+        # candidates, so the last one is compared with all 6 rather than
+        # with the 3 whose third b is near too; the fourth literal keeps
+        # every candidate apart
+        eps, bs = 1e-3, (0.5, 0.5004, 0.5008)
+        rows = [
+            [ifn(b, b), ifn(b, b), ifn(z, z), FuzzyTruth(k, k, k, k)]
+            for k, (z, b) in enumerate(itertools.product((0.0, 0.9), bs))
+        ]
+        rows.append([ifn(0.5004, 0.5004), ifn(0.5004, 0.5004), FALSE, FuzzyTruth(9, 9, 9, 9)])
+        assert self.assert_same_as_pairwise((0, 1, 2), rows, eps) == list(range(7))
+        compared = []
+        equal_within = solver.interpretations_equal
+
+        def counted(x, y, eps):
+            compared.append(y)
+            return equal_within(x, y, eps)
+
+        monkeypatch.setattr(solver, "interpretations_equal", counted)
+        found = self.found(rows)
+        solver._distinct([(f, None) for f in found], (0, 1, 2), eps)
+        assert compared[-6:] == found[:6]
+
+
+class TestTrajectoryRevisits:
+    """The operator trajectory of a naf cycle stops at a state it has visited."""
+
+    @pytest.mark.parametrize(
+        "source, iterations, answer_sets",
+        [
+            ("a <- not a.", 3, 0),
+            ("a <- not b. b <- not c. c <- not a.", 3, 0),
+            ("a <- not b. b <- not a.", 3, 2),
+            ("p0 <- not p0. [ifn(0.99,0.99)]", 2_062, 1),
+        ],
+    )
+    def test_rounds_and_answer_sets(self, source, iterations, answer_sets):
+        report = solve(parse(source))
+        assert (report.iterations, len(report.answer_sets)) == (iterations, answer_sets)
+
+    @staticmethod
+    def verdicts(states):
+        """``_revisited`` of each state, against a set of rounded states."""
+        seen, rounded, out = {}, set(), []
+        for state in states:
+            key = tuple(round(p, 12) for v in state for p in v)
+            expected = key in rounded
+            rounded.add(key)
+            assert solver._revisited(seen, state) is expected
+            out.append(expected)
+        return out
+
+    def test_parameters_that_round_alike(self):
+        v, w = ifn(0.1, 0.3), ifn(0.1 + 4e-14, 0.3 - 4e-14)
+        assert v != w
+        assert self.verdicts([[v, UNKNOWN], [w, UNKNOWN], [w, TRUE]]) == [False, True, False]
+
+    def test_same_first_b_different_elsewhere(self):
+        x, y, z = ifn(0.3, 0.3), ifn(0.4, 0.4), ifn(0.3, 0.9)
+        states = [[x, y], [x, z], [z, y], [x, x], [z, y], [x, z]]
+        assert self.verdicts(states) == [False, False, False, False, True, True]
+
+    def test_period_three_cycle(self):
+        cycle = [[ifn(0.2, 0.2), FALSE], [ifn(0.5, 0.5), TRUE], [ifn(0.7, 0.7), UNKNOWN]]
+        assert self.verdicts([[UNKNOWN, UNKNOWN]] + cycle * 2) == [False] * 4 + [True] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([FALSE, TRUE, UNKNOWN, ifn(0.5, 0.5), ifn(0.5 - 1e-13, 0.5),
+                                 ifn(0.5, 0.7), ifn(-0.0, 1.0)]),
+                min_size=2, max_size=2,
+            ),
+            max_size=10,
+        )
+    )
+    def test_same_verdicts_as_a_set_of_rounded_states(self, states):
+        self.verdicts(states)
