@@ -269,19 +269,26 @@ def _unsupported(gp: GroundProgram, values: list, eps: float, computed: list) ->
     Condition 1 covers single-rule heads, condition 2 the disjunctive
     combination of several rules, condition 3 the aggregation against a
     complement that also has rules.
+
+    A condition-1 head's supported value is its one rule's body value, so
+    its value is compared with that kept value directly, and a
+    :class:`FuzzyTruth` of it is built only for the Violation.
     """
     complement = gp.table.complement
     for head in gp.heads:
         own = computed[head]
         against = computed[complement[head]] if complement[head] >= 0 else ()
-        condition = 3 if against else (1 if len(own) == 1 else 2)
-        literal = gp.literals[head]
+        if not against and len(own) == 1:
+            ((value, _),) = own
+            if not equal(values[head], value, eps):
+                return Violation(gp.literals[head], 1, FuzzyTruth(*value), values[head])
+            continue
         try:
             expected = _target(values, own, against, None, eps, _computed)
         except AggregationTie:
-            return Violation(literal, 3)
+            return Violation(gp.literals[head], 3)
         if not equal(values[head], expected, eps):
-            return Violation(literal, condition, expected, values[head])
+            return Violation(gp.literals[head], 3 if against else 2, expected, values[head])
     return None
 
 
@@ -516,23 +523,26 @@ def verify_answer_set(
     program order (the head equals its body value or exceeds it in truth or
     in certainty), support (a :class:`Violation`, see
     :func:`_unsupported`), and k-minimality against the reduct's fixpoint.
-    Each rule body is evaluated once: the model check keeps its value, and
-    the support check folds the kept values of each head's rules.
+    Each rule body is evaluated once, its ``not b`` items reading the
+    reduct's ``naf(I(b))``, taken once per naf literal: the model check
+    keeps its value, and the support check folds the kept values of each
+    head's rules.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
         return CandidateResult(i, Status.INCONSISTENT, atom)
     values = i.values if i.table is gp.table else [i.value(l) for l in gp.literals]
+    # the reduct's naf values, which the rule bodies read as well
+    frozen = {b: naf(values[b]) for b in gp.naf_ids}
     computed = [[] for _ in values]  # per head, (body value, None) per rule
     for pos, (head, body, weight) in enumerate(gp.compiled):
-        value = _body(values, body, weight, None)
+        value = _body(values, body, weight, frozen)
         if not _satisfied(values[head], value, eps):
             return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
         computed[head].append((value, None))
     violation = _unsupported(gp, values, eps, computed)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
-    frozen = {b: naf(values[b]) for b in gp.naf_ids}
     # a naf value is 1 - b, never -0.0: values that are == have equal bits.
     # A candidate computed at these is its reduct's fixpoint, and its finite
     # values are equal to themselves within eps.
@@ -548,16 +558,23 @@ def verify_answer_set(
     return CandidateResult(i, Status.ANSWER_SET)
 
 
-def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
+def _naf_guess_domain(
+    gp: GroundProgram, depth: int, slots: int, max_guesses: int, guessed: int | None = None
+):
     """Possible naf values: image of the weight closure under naf.
 
     The seeds, TRUE, UNKNOWN and each rule's weight and inline values, are
     taken in program order, not hash order.  The closure is taken at
     operator depth ``depth``, or at the greatest lower one whose closure
     stays within the closure cap and whose ``len(domain) ** slots`` fits
-    ``max_guesses``; but it is never lowered below 1 for the second reason:
-    there GuessLimitExceeded is raised instead.  Returns (domain, depth
-    used); depth 0 means the bare seeds.
+    ``max_guesses``; but it is never lowered below 1 for the second reason.
+    Returns (domain, depth used); depth 0 means the bare seeds.
+
+    ``guessed`` (``slots`` when None) is the number of naf literals the
+    search guesses, those of :func:`_search_blocks` that are read before
+    their value is final; every other one is filtered.  Only the final
+    count uses it: GuessLimitExceeded is raised when ``len(domain) **
+    guessed`` exceeds ``max_guesses`` at the depth chosen.
 
     The closure and its naf image are built once, level by level from
     :func:`~fuzzyasp.oracle.closure_levels`: the closure at depth d is the
@@ -604,13 +621,69 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
         domain = {}
         for v in seeds:
             domain.setdefault(round(1.0 - v.b, 9), naf(v))
-    guesses = len(domain) ** slots
+    guesses = len(domain) ** (slots if guessed is None else guessed)
     if guesses > max_guesses:
         raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
     return list(domain.values()), depth
 
 
-def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_iter: int):
+def _search_blocks(gp: GroundProgram) -> list:
+    """The plan of :func:`_self_consistent_guesses`: its blocks, in search order.
+
+    The frozen components are sorted by the component of ``gp.components``
+    they lie in (the sort is stable, so frozen order within each).  The
+    component that first reads ``not b`` in that order chooses b's value:
+    b is guessed there when b's own component is not before it, and
+    filtered otherwise, b having no rules or a final value.  A block is a
+    connected group of components that read one another's heads, positive
+    or under naf, or read ``not`` of one literal; a head's complement with
+    rules is a head of its component, so its rules are read there too.
+
+    Returns a list of blocks, each a list of ``(component, reads, checks)``
+    in the sorted order: ``reads`` holds ``(b, guessed)`` for each naf
+    literal the component chooses, ``checks`` each guessed literal it makes
+    final.
+    """
+    # a frozen component lies inside one component of ``gp.components``
+    outer = {h: n for n, component in enumerate(gp.components) for h in component.heads}
+    components = sorted(gp.frozen_components, key=lambda c: outer[c.heads[0]])
+    where = {h: k for k, component in enumerate(components) for h in component.heads}
+    reads: list[list] = [[] for _ in components]
+    checks: list[list] = [[] for _ in components]
+    first: dict = {}  # naf id -> the component that reads it first
+    parent = list(range(len(components)))  # union-find over the components
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for k, (_, _, _, plan) in enumerate(components):
+        for _, own, _ in plan:
+            for body, _ in own:
+                for kind, x in body:
+                    if kind == VALUE:
+                        continue
+                    j = where.get(x)
+                    if kind == NAF:
+                        if x not in first:
+                            first[x] = k
+                            guessed = j is not None and j >= k
+                            reads[k].append((x, guessed))
+                            if guessed:
+                                checks[j].append(x)
+                        j = first[x] if j is None else j
+                    if j is not None:
+                        parent[root(j)] = root(k)
+    blocks: dict[int, list] = {}
+    for k, component in enumerate(components):
+        blocks.setdefault(root(k), []).append((component, reads[k], checks[k]))
+    return list(blocks.values())
+
+
+def _self_consistent_guesses(
+    gp: GroundProgram, blocks: list, domain: list, eps: float, max_iter: int
+):
     """Every guess over ``domain`` whose frozen fixpoint reproduces it.
 
     A guess gives each naf literal id of ``gp`` a value of ``domain``; it is
@@ -620,50 +693,33 @@ def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_it
     dict in ``gp.naf_ids`` order, in the order of
     ``itertools.product(domain, repeat=len(gp.naf_ids))``.
 
-    A frozen component's value depends only on earlier components and on
-    the naf values it reads, so the guesses are searched one component of
-    ``gp.frozen_components`` at a time, depth first, over one shared value
-    list: the component that first reads ``not b`` chooses b's value.  When
-    b has no rules or an earlier component, its value is final there and
-    only the domain values equal to its naf are kept; otherwise every value
-    is tried and checked once b's own component has been evaluated.  The
-    components are walked in the order of the ``gp.components`` they lie
-    in, frozen order within each, so b comes before the component reading
-    ``not b`` unless a naf cycle runs through both: only there is b
-    guessed.  A branch ends at the first component that raises or fails a
-    check, so each component is evaluated once per choice of the naf
-    values read up to it, not once per whole guess.
-    """
-    # a frozen component lies inside one component of ``gp.components``,
-    # and the sort is stable
-    outer = {h: n for n, component in enumerate(gp.components) for h in component.heads}
-    components = sorted(gp.frozen_components, key=lambda c: outer[c.heads[0]])
-    where = {h: k for k, component in enumerate(components) for h in component.heads}
-    reads: list[list] = [[] for _ in components]  # per component: (id, guessed)
-    checks: list[list] = [[] for _ in components]  # guessed ids it makes final
-    first = set()
-    for k, (_, _, _, plan) in enumerate(components):
-        # a complement whose rules a head aggregates is a head of k too
-        for _, own, _ in plan:
-            for body, _ in own:
-                for kind, b in body:
-                    if kind == NAF and b not in first:
-                        first.add(b)
-                        guessed = where.get(b, -1) >= k
-                        reads[k].append((b, guessed))
-                        if guessed:
-                            checks[where[b]].append(b)
+    A frozen component's value depends only on the components it reads and
+    on the naf values it reads, so the guesses are searched one block of
+    ``blocks`` (see :func:`_search_blocks`) at a time, and within a block
+    one component at a time, depth first, over one shared value list.  A
+    component chooses the values of the naf literals it reads first: a
+    filtered literal takes only the domain values equal to its naf, a
+    guessed one every value, checked once the literal's own component has
+    been evaluated.  A branch ends at the first component that raises or
+    fails a check, so each component is evaluated once per choice of the
+    naf values read up to it in its block, not once per whole guess.
 
-    everything = range(len(domain))
+    No block reads a head or a naf choice of another, so the guesses kept
+    are the cartesian product of the blocks' local ones (the splitting
+    theorem of Lifschitz and Turner), each fixpoint the blocks' head values
+    put together.  Sorted by the domain index of each naf literal in
+    ``gp.naf_ids`` order, they are the joint enumeration's guesses, in its
+    order, with its bits.
+    """
     # a naf value is a point (a = b = c = d), so ``equal`` to one compares a
     points = [d.a for d in domain]
+    everything = range(len(domain))
     values = [UNKNOWN] * len(gp.literals)
-    chosen: dict = {}  # naf id -> its domain index on the current branch
     frozen: dict = {}  # naf id -> its value on the current branch
 
-    def choices(k: int):
+    def choices(reads: list):
         options = []
-        for b, guessed in reads[k]:
+        for b, guessed in reads:
             if guessed:
                 options.append(everything)
             else:
@@ -671,28 +727,46 @@ def _self_consistent_guesses(gp: GroundProgram, domain: list, eps: float, max_it
                 options.append([i for i, p in enumerate(points) if abs(t - p) <= eps])
         return itertools.product(*options)
 
+    local = []  # per block: its heads, and per kept branch its choices and head values
+    for block in blocks:
+        heads = [h for component, _, _ in block for h in component.heads]
+        kept = []
+        chosen: dict = {}  # naf id -> its domain index on the current branch
+        stack = [choices(block[0][1])]  # one iterator of choices per component on the branch
+        while stack:
+            k = len(stack) - 1
+            combo = next(stack[k], None)
+            if combo is None:
+                stack.pop()
+                continue
+            component, reads, checks = block[k]
+            for (b, _), i in zip(reads, combo):
+                chosen[b], frozen[b] = i, domain[i]
+            try:
+                _evaluate(gp, component, values, frozen, eps, max_iter)
+            except (Inconsistent, NonConvergent, MonotonicityError):
+                continue
+            if not all(equal(naf(values[b]), frozen[b], eps) for b in checks):
+                continue
+            if k + 1 < len(block):
+                stack.append(choices(block[k + 1][1]))
+                continue
+            kept.append((dict(chosen), [values[h] for h in heads]))
+        if not kept:
+            return []
+        local.append((heads, kept))
+
     accepted = []
-    stack = [choices(0)]  # one iterator of choices per component on the branch
-    while stack:
-        k = len(stack) - 1
-        combo = next(stack[k], None)
-        if combo is None:
-            stack.pop()
-            continue
-        for (b, _), i in zip(reads[k], combo):
-            chosen[b], frozen[b] = i, domain[i]
-        try:
-            _evaluate(gp, components[k], values, frozen, eps, max_iter)
-        except (Inconsistent, NonConvergent, MonotonicityError):
-            continue
-        if not all(equal(naf(values[b]), frozen[b], eps) for b in checks[k]):
-            continue
-        if k + 1 < len(components):
-            stack.append(choices(k + 1))
-            continue
+    for branches in itertools.product(*(kept for _, kept in local)):
+        values = [UNKNOWN] * len(gp.literals)
+        chosen = {}
+        for (heads, _), (choice, head_values) in zip(local, branches):
+            chosen.update(choice)
+            for h, v in zip(heads, head_values):
+                values[h] = v
         key = tuple(chosen[b] for b in gp.naf_ids)
-        guess = {b: frozen[b] for b in gp.naf_ids}
-        accepted.append((key, Interpretation.of(gp.table, list(values)), guess))
+        guess = {b: domain[chosen[b]] for b in gp.naf_ids}
+        accepted.append((key, Interpretation.of(gp.table, values), guess))
     accepted.sort(key=lambda found: found[0])
     return [(fix, guess) for _, fix, guess in accepted]
 
@@ -861,16 +935,21 @@ def solve(
     from each naf literal id to a value of the naf image of the operator
     closure of the program weights (depth ``guess_depth``, lowered while
     the closure exceeds its cap or the joint guesses,
-    ``len(domain) ** len(gp.naf_ids)``, exceed ``max_guesses``;
-    GuessLimitExceeded when even depth 1 does not fit, see
-    :func:`_naf_guess_domain`).  Its frozen fixpoint, evaluated in the
-    finer order where naf is no dependency, is a candidate when its own naf
-    values are the guess; one that is inconsistent, does not converge or
-    raises some head's uncertainty is none.  The guesses are not enumerated jointly: they are
-    searched one frozen component at a time, a naf literal guessed only
-    where it is read before its value is final and filtered everywhere
-    else (see :func:`_self_consistent_guesses`).  The candidates come in
-    the joint enumeration's order and bits all the same.
+    ``len(domain) ** len(gp.naf_ids)``, exceed ``max_guesses``).  Its
+    frozen fixpoint, evaluated in the finer order where naf is no
+    dependency, is a candidate when its own naf values are the guess; one
+    that is inconsistent, does not converge or raises some head's
+    uncertainty is none.  The guesses are not enumerated jointly.  The
+    frozen components fall into blocks that read nothing of one another
+    (see :func:`_search_blocks`); each block is searched on its own, one
+    component at a time, a naf literal guessed only where it is read
+    before its value is final and filtered everywhere else, and the
+    blocks' results are combined as a product (see
+    :func:`_self_consistent_guesses`).  The candidates come in the joint
+    enumeration's order and bits all the same.  GuessLimitExceeded is
+    raised when the guesses the search makes, ``len(domain) ** g`` for the
+    g guessed naf literals, exceed ``max_guesses`` at the depth chosen (see
+    :func:`_naf_guess_domain`).
 
     A candidate equal within ``eps`` to an earlier kept one, by
     :func:`interpretations_equal`, is dropped.  Only near kept ones are
@@ -909,11 +988,13 @@ def solve(
             # every answer set's naf values are the pinned ones within eps
             found += pinned
         else:
+            blocks = _search_blocks(gp)
+            guessed = sum(g for block in blocks for _, reads, _ in block for _, g in reads)
             domain, report.guess_depth = _naf_guess_domain(
-                gp, guess_depth, len(naf_ids), max_guesses
+                gp, guess_depth, len(naf_ids), max_guesses, guessed
             )
             # every answer set with naf values in the domain is the fixpoint at them
-            found += _self_consistent_guesses(gp, domain, eps, max_iter)
+            found += _self_consistent_guesses(gp, blocks, domain, eps, max_iter)
 
     for candidate in _distinct(found, naf_ids, eps):
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)

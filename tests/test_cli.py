@@ -220,13 +220,14 @@ class TestSolveCommand:
         assert "trace" not in json.loads(out)
 
     def test_guess_limit_exit_two(self, capsys, tmp_path):
-        # ten independent even loops: 2**20 naf guesses even at depth 1
+        # seventeen independent even loops: one naf literal guessed per
+        # loop over the two crisp values, 2**17 guesses
         path = tmp_path / "loops.fasp"
-        path.write_text("".join(f"a{i} <- not b{i}. b{i} <- not a{i}.\n" for i in range(10)))
+        path.write_text("".join(f"a{i} <- not b{i}. b{i} <- not a{i}.\n" for i in range(17)))
         code, out, err = run(capsys, "solve", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: 1048576 naf guesses exceed max_guesses=100000")
+        assert err.startswith("error: 131072 naf guesses exceed max_guesses=100000")
 
     def test_guess_depth_reported_for_even_loop(self, capsys, tmp_path):
         path = tmp_path / "choice.fasp"

@@ -583,8 +583,10 @@ class TestGuessLimits:
         assert len(report.answer_sets) == 1
 
     def test_error_when_depth_one_does_not_fit(self):
-        with pytest.raises(GuessLimitExceeded, match="25 naf guesses exceed max_guesses=24"):
-            solve(parse(self.WEIGHTED_LOOP), max_guesses=24)
+        # the search guesses one of the two naf literals and filters the
+        # other, so depth 1 counts 5 guesses, not 5**2
+        with pytest.raises(GuessLimitExceeded, match="5 naf guesses exceed max_guesses=4"):
+            solve(parse(self.WEIGHTED_LOOP), max_guesses=4)
         # existing callers that catch ValueError keep working
         assert issubclass(GuessLimitExceeded, ValueError)
 
@@ -796,6 +798,11 @@ def _outcome(run):
     ]
 
 
+def _loops(k):
+    """``k`` independent crisp even loops."""
+    return " ".join(f"a{i} <- not b{i}. b{i} <- not a{i}." for i in range(k))
+
+
 class TestGuessSearch:
     """The component-at-a-time naf search against the joint guess loop."""
 
@@ -813,7 +820,25 @@ class TestGuessSearch:
             report = solve(gp, **_LIMITS)
             return report.candidates, report.guess_depth
 
-        assert _outcome(searched) == _outcome(lambda: joint_solve(gp, **_LIMITS))
+        found, joint = _outcome(searched), _outcome(lambda: joint_solve(gp, **_LIMITS))
+        if joint[0] == "GuessLimitExceeded":
+            # the joint loop counts len(domain) ** len(naf_ids) guesses, the
+            # search only len(domain) ** g, g the naf literals it guesses
+            slots, count = len(gp.naf_ids), int(joint[1].split()[0])
+            size = round(count ** (1 / slots))
+            assert size**slots == count
+            guessed = sum(g for block in solver._search_blocks(gp) for _, reads, _ in block
+                          for _, g in reads)
+            if found[0] == "GuessLimitExceeded":
+                event("both exceed max_guesses")
+                limit = _LIMITS["max_guesses"]
+                assert found[1] == f"{size**guessed} naf guesses exceed max_guesses={limit}"
+                return
+            # the search fits: the joint loop at its depth, with only its cap lifted
+            event("only the joint loop exceeds max_guesses")
+            lifted = dict(_LIMITS, guess_depth=found[0], max_guesses=count)
+            joint = _outcome(lambda: joint_solve(gp, **lifted))
+        assert found == joint
 
     @settings(max_examples=60, deadline=None)
     @given(layered_naf_programs(monotone=True))
@@ -854,9 +879,53 @@ class TestGuessSearch:
             return evaluate(gp, component, *args)
 
         monkeypatch.setattr(solver, "_evaluate", spy)
-        found = solver._self_consistent_guesses(gp, domain, 1e-9, 100)
+        found = solver._self_consistent_guesses(gp, solver._search_blocks(gp), domain, 1e-9, 100)
         assert len(domain) > 1 and len(found) == 1
         assert evaluated.count((gp.table.ids[lit("a")],)) == len(domain)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 10])
+    def test_independent_loops_cost_four_evaluations_each(self, monkeypatch, k):
+        # a block per loop: its first component is evaluated once per value
+        # guessed for the other's naf literal, the second once per branch,
+        # so 4 calls per loop.  A walk over the whole program re-evaluates
+        # each loop once per choice made in the loops before it, 2 * (2 + 4
+        # + ... + 2**k) calls.
+        gp = ground(parse(_loops(k)))
+        blocks = solver._search_blocks(gp)
+        domain, _ = solver._naf_guess_domain(gp, 3, len(gp.naf_ids), 100_000, k)
+        assert len(blocks) == k and len(domain) == 2
+        calls = 0
+        evaluate = solver._evaluate
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "_evaluate", spy)
+        found = solver._self_consistent_guesses(gp, blocks, domain, DEFAULT_EPS, 100)
+        assert len(found) == 2**k
+        assert calls == 4 * k
+
+    def test_readers_of_one_literal_without_rules_share_a_block(self):
+        # c0 and q0 both read not z, and only the first reader chooses z's
+        # value; q1 comes before c0, so a block of q1 and q0 alone would be
+        # searched before z had a value
+        gp = ground(parse("a <- not b. b <- not a. q1. c0 <- not z. q0 <- q1, not z."))
+        ids = gp.table.ids
+        (block,) = [
+            b for b in solver._search_blocks(gp)
+            if any(c.heads == (ids[lit("q0")],) for c, _, _ in b)
+        ]
+        heads = [c.heads for c, _, _ in block]
+        assert heads == [(ids[lit("q1")],), (ids[lit("c0")],), (ids[lit("q0")],)]
+        report = solve(gp)
+        assert len(report.answer_sets) == 2
+        searched = _outcome(lambda: (report.candidates, report.guess_depth))
+        assert searched == _outcome(lambda: joint_solve(gp))
+
+    def test_twelve_independent_loops(self):
+        assert len(solve(parse(_loops(12))).answer_sets) == 4096
 
     def test_deep_program_is_searched_without_recursion(self):
         # over 1,000 frozen components below an even loop; the chain changes
@@ -965,7 +1034,7 @@ class TestWellFoundedBounds:
 
 
 class TestKnownDefects:
-    """The two search defects the ROADMAP tracks, pinned as strict xfails."""
+    """The search defects the ROADMAP tracks: item 4's as strict xfails, item 3's mended."""
 
     TWO_LOOPS = (
         "a <- not b. b <- not a. "
@@ -992,15 +1061,60 @@ class TestKnownDefects:
             assert equal(model.value(lit("c")), third)
             assert equal(model.value(lit("d")), third)
 
+    def test_independent_loops_are_solved_apart(self):
+        # ROADMAP item 3: the search guesses one naf literal per loop, so
+        # 2**10 guesses, not the 2**20 joint ones, fit max_guesses
+        assert len(solve(parse(_loops(10))).answer_sets) == 1024
+
+
+@st.composite
+def crisp_naf_programs(draw, prefix: str) -> str:
+    """One to four rules over the atoms ``prefix`` 0 to 2, without weights or ``-``."""
+    atoms = [f"{prefix}{i}" for i in range(3)]
+    items = atoms + [f"not {a}" for a in atoms]
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.sampled_from(atoms))
+        body = draw(st.lists(st.sampled_from(items), max_size=3))
+        rules.append(f"{head} <- {', '.join(body)}." if body else f"{head}.")
+    return " ".join(rules)
+
+
+def _answer_maps(source: str) -> set:
+    """Each answer set of ``source`` as a frozenset of (literal, value) renderings."""
+    report = solve(parse(source), **_LIMITS)
+    return {
+        frozenset(zip(m.table.names, (v.render() for v in m.values)))
+        for m in report.answer_sets
+    }
+
+
+class TestSplitting:
+    """ROADMAP item 22: over disjoint atoms, P ∪ Q's answer sets are P's times Q's.
+
+    Lifschitz and Turner's splitting theorem, the ground the product search
+    stands on.
+    """
+
+    @staticmethod
+    def products(p: str, q: str) -> set:
+        return {x | y for x in _answer_maps(p) for y in _answer_maps(q)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(crisp_naf_programs("p"), crisp_naf_programs("q"))
+    @example("p0 <- not p1. p1 <- not p0.", "q0 <- not q1. q1 <- not q0. q2 <- q0, not q2.")
+    def test_crisp_programs(self, p, q):
+        assert _answer_maps(f"{p} {q}") == self.products(p, q)
+
     @pytest.mark.xfail(
         strict=True,
-        raises=GuessLimitExceeded,
-        reason="ROADMAP item 3: the whole-program search guesses 2**20 naf "
-        "assignments even at depth 1, past max_guesses",
+        reason="ROADMAP item 4: P gives the union's guess domain 0.5, and Q's odd "
+        "loop then has a half-true answer set, which Q alone does not",
     )
-    def test_independent_loops_are_solved_apart(self):
-        report = solve(parse(" ".join(f"a{i} <- not b{i}. b{i} <- not a{i}." for i in range(10))))
-        assert len(report.answer_sets) == 1024
+    def test_a_weighted_program_beside_an_odd_loop(self):
+        p = "p1 <- not p0. p1. [ifn(0.5,0.5)] p1. [ifn(0.5,0.5)]"
+        q = "q1. q0 <- not q0, not q2."
+        assert _answer_maps(f"{p} {q}") == self.products(p, q)
 
 
 def _composed_verdict(gp, i, eps, max_iter):
