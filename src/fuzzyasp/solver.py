@@ -758,15 +758,15 @@ def _self_consistent_guesses(
 
     accepted = []
     for branches in itertools.product(*(kept for _, kept in local)):
-        values = [UNKNOWN] * len(gp.literals)
+        merged = [UNKNOWN] * len(gp.literals)
         chosen = {}
         for (heads, _), (choice, head_values) in zip(local, branches):
             chosen.update(choice)
             for h, v in zip(heads, head_values):
-                values[h] = v
+                merged[h] = v
         key = tuple(chosen[b] for b in gp.naf_ids)
         guess = {b: domain[chosen[b]] for b in gp.naf_ids}
-        accepted.append((key, Interpretation.of(gp.table, values), guess))
+        accepted.append((key, Interpretation.of(gp.table, merged), guess))
     accepted.sort(key=lambda found: found[0])
     return [(fix, guess) for _, fix, guess in accepted]
 
