@@ -300,6 +300,8 @@ class TestSolveCommand:
             "tests/fixtures/truncated_paths.fasp --trace",
             "tests/fixtures/closure_cap.fasp",
             "tests/fixtures/pinned_guess_limit.fasp",
+            "tests/fixtures/pinned_rejected.fasp",
+            "tests/fixtures/pinned_rejected.fasp --trace",
             "tests/fixtures/lexer_edges.fasp",
             "tests/fixtures/repeated_values.fasp",
             "tests/fixtures/repeated_values.fasp --trace",
