@@ -558,9 +558,7 @@ def verify_answer_set(
     return CandidateResult(i, Status.ANSWER_SET)
 
 
-def _naf_guess_domain(
-    gp: GroundProgram, depth: int, slots: int, max_guesses: int, guessed: int | None = None
-):
+def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
     """Possible naf values: image of the weight closure under naf.
 
     The seeds, TRUE, UNKNOWN and each rule's weight and inline values, are
@@ -568,21 +566,17 @@ def _naf_guess_domain(
     operator depth ``depth``, or at the greatest lower one whose closure
     stays within the closure cap and whose ``len(domain) ** slots`` fits
     ``max_guesses``; but it is never lowered below 1 for the second reason.
-    Returns (domain, depth used); depth 0 means the bare seeds.
-
-    ``guessed`` (``slots`` when None) is the number of naf literals the
-    search guesses, those of :func:`_search_blocks` that are read before
-    their value is final; every other one is filtered.  Only the final
-    count uses it: GuessLimitExceeded is raised when ``len(domain) **
-    guessed`` exceeds ``max_guesses`` at the depth chosen.
+    Returns (domain, depth used); depth 0 means the bare seeds.  Whether
+    the guesses fit ``max_guesses`` is the caller's to check: :func:`solve`
+    counts only the naf literals its search guesses.
 
     The closure and its naf image are built once, level by level from
     :func:`~fuzzyasp.oracle.closure_levels`: the closure at depth d is the
     first part of the one at d + 1, so its domain is the first part of that
     domain.  From level 2 on, the first domain value past ``max_guesses``
     or a ClosureTooLarge ends the run, and the domain is cut back to the
-    level before.  Level 1 always runs to its end, so the count in
-    GuessLimitExceeded is that of depth 1 (or of the seeds, when level 1
+    level before.  Level 1 always runs to its end, so the domain at depth 1
+    is whole, however many guesses it makes (as are the seeds, when level 1
     exceeds the cap).  Raises OracleArgumentError unless 0 <= depth <= 4.
     """
     from .oracle import closure_levels
@@ -621,9 +615,6 @@ def _naf_guess_domain(
         domain = {}
         for v in seeds:
             domain.setdefault(round(1.0 - v.b, 9), naf(v))
-    guesses = len(domain) ** (slots if guessed is None else guessed)
-    if guesses > max_guesses:
-        raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
     return list(domain.values()), depth
 
 
@@ -682,23 +673,26 @@ def _search_blocks(gp: GroundProgram) -> list:
 
 
 def _self_consistent_guesses(
-    gp: GroundProgram, blocks: list, domain: list, eps: float, max_iter: int
+    gp: GroundProgram, blocks: list, domains: dict, eps: float, max_iter: int
 ):
-    """Every guess over ``domain`` whose frozen fixpoint reproduces it.
+    """Every guess over ``domains`` whose frozen fixpoint reproduces it.
 
-    A guess gives each naf literal id of ``gp`` a value of ``domain``; it is
-    kept when its frozen fixpoint exists (no Inconsistent, NonConvergent or
-    MonotonicityError) and ``equal`` within ``eps`` puts each literal's naf
-    value at its guess.  Returns ``(fixpoint, guess)`` pairs, the guess a
-    dict in ``gp.naf_ids`` order, in the order of
-    ``itertools.product(domain, repeat=len(gp.naf_ids))``.
+    ``domains`` maps each naf literal id of ``gp`` to its list of values:
+    the same guess domain for every id, or one value per id where the
+    well-founded bounds pin them.  A guess gives each naf literal id a value
+    of its list; it is kept when its frozen fixpoint exists (no
+    Inconsistent, NonConvergent or MonotonicityError) and ``equal`` within
+    ``eps`` puts each literal's naf value at its guess.  Returns
+    ``(fixpoint, guess)`` pairs, the guess a dict in ``gp.naf_ids`` order,
+    in the order of ``itertools.product(*(domains[b] for b in
+    gp.naf_ids))``.
 
     A frozen component's value depends only on the components it reads and
     on the naf values it reads, so the guesses are searched one block of
     ``blocks`` (see :func:`_search_blocks`) at a time, and within a block
     one component at a time, depth first, over one shared value list.  A
     component chooses the values of the naf literals it reads first: a
-    filtered literal takes only the domain values equal to its naf, a
+    filtered literal takes only the values of its list equal to its naf, a
     guessed one every value, checked once the literal's own component has
     been evaluated.  A branch ends at the first component that raises or
     fails a check, so each component is evaluated once per choice of the
@@ -707,13 +701,12 @@ def _self_consistent_guesses(
     No block reads a head or a naf choice of another, so the guesses kept
     are the cartesian product of the blocks' local ones (the splitting
     theorem of Lifschitz and Turner), each fixpoint the blocks' head values
-    put together.  Sorted by the domain index of each naf literal in
-    ``gp.naf_ids`` order, they are the joint enumeration's guesses, in its
-    order, with its bits.
+    put together.  Sorted by the index of each naf literal's value in its
+    list, in ``gp.naf_ids`` order, they are the joint enumeration's guesses,
+    in its order, with its bits.
     """
     # a naf value is a point (a = b = c = d), so ``equal`` to one compares a
-    points = [d.a for d in domain]
-    everything = range(len(domain))
+    points = {b: [v.a for v in domain] for b, domain in domains.items()}
     values = [UNKNOWN] * len(gp.literals)
     frozen: dict = {}  # naf id -> its value on the current branch
 
@@ -721,10 +714,10 @@ def _self_consistent_guesses(
         options = []
         for b, guessed in reads:
             if guessed:
-                options.append(everything)
+                options.append(range(len(points[b])))
             else:
                 t = naf(values[b]).a
-                options.append([i for i, p in enumerate(points) if abs(t - p) <= eps])
+                options.append([i for i, p in enumerate(points[b]) if abs(t - p) <= eps])
         return itertools.product(*options)
 
     local = []  # per block: its heads, and per kept branch its choices and head values
@@ -741,7 +734,7 @@ def _self_consistent_guesses(
                 continue
             component, reads, checks = block[k]
             for (b, _), i in zip(reads, combo):
-                chosen[b], frozen[b] = i, domain[i]
+                chosen[b], frozen[b] = i, domains[b][i]
             try:
                 _evaluate(gp, component, values, frozen, eps, max_iter)
             except (Inconsistent, NonConvergent, MonotonicityError):
@@ -765,7 +758,7 @@ def _self_consistent_guesses(
             for h, v in zip(heads, head_values):
                 merged[h] = v
         key = tuple(chosen[b] for b in gp.naf_ids)
-        guess = {b: domain[chosen[b]] for b in gp.naf_ids}
+        guess = {b: domains[b][chosen[b]] for b in gp.naf_ids}
         accepted.append((key, Interpretation.of(gp.table, merged), guess))
     accepted.sort(key=lambda found: found[0])
     return [(fix, guess) for _, fix, guess in accepted]
@@ -807,6 +800,11 @@ def _naf_bounds(gp: GroundProgram, eps: float, max_iter: int):
     It stops once every literal has ``hi - lo <= eps``, once ``lo`` does
     not move, or after :data:`MAX_ALTERNATIONS`; None when a fixpoint
     raises Inconsistent, NonConvergent or MonotonicityError.
+
+    When they pin every literal, :func:`_pinned_domains` hands the search
+    one value per literal, its naf at ``lo``.  A snapped ``lo`` need not be
+    reproduced by its own fixpoint (a b of 5e-7 is pinned at 0); the
+    search then keeps no guess.
     """
     naf_ids = gp.naf_ids
 
@@ -828,26 +826,19 @@ def _naf_bounds(gp: GroundProgram, eps: float, max_iter: int):
     return lo, hi
 
 
-def _pinned_guesses(gp: GroundProgram, eps: float, max_iter: int) -> list | None:
-    """The one guess left when :func:`_naf_bounds` pins every naf literal.
+def _pinned_domains(gp: GroundProgram, eps: float, max_iter: int) -> dict | None:
+    """One naf value per literal, where :func:`_naf_bounds` pins every naf literal.
 
     None unless ``gp`` is :func:`_monotone` and its bounds have
-    ``hi - lo <= eps`` at every naf literal.  Then the guess is the frozen
-    naf assignment at ``lo``, and the result is ``[(fixpoint, guess)]``
-    when that fixpoint exists and its own naf values are the guess within
-    ``eps``, as in :func:`_self_consistent_guesses`, else ``[]``.
+    ``hi - lo <= eps`` at every naf literal.  Then each naf literal id maps
+    to a list of one value, its naf at ``lo``: the domains of
+    :func:`_self_consistent_guesses`, whose filter and checks keep that one
+    guess only when its frozen fixpoint reproduces it.
     """
     bounds = _naf_bounds(gp, eps, max_iter) if _monotone(gp) else None
     if bounds is None or any(h - l > eps for l, h in zip(*bounds)):
         return None
-    guess = {b: _naf_point(x) for b, x in zip(gp.naf_ids, bounds[0])}
-    try:
-        fix = _fixpoint(gp, eps, max_iter, naf_values=guess)
-    except (Inconsistent, NonConvergent, MonotonicityError):
-        return []
-    if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
-        return [(fix, guess)]
-    return []
+    return {b: [_naf_point(x)] for b, x in zip(gp.naf_ids, bounds[0])}
 
 
 def _distinct(found: list, naf_ids: tuple, eps: float) -> list:
@@ -922,34 +913,36 @@ def solve(
     candidates follow, and ``guess_depth`` is checked first (0 to 4, else
     OracleArgumentError).
 
+    The self-consistent guesses follow the first fixpoint.  A guess is a
+    frozen naf assignment, from each naf literal id to a value of its
+    domain.  Its frozen fixpoint, evaluated in the finer order where naf is
+    no dependency, is a candidate when its own naf values are the guess;
+    one that is inconsistent, does not converge or raises some head's
+    uncertainty is none.
+
     If the program is :func:`_monotone` (no head whose complement has
     rules, every weight and inline value restricted), the alternating
     fixpoint bounds the b of every naf literal first (see
-    :func:`_naf_bounds`).  When it pins them all within ``eps``, the only
-    guess is the frozen fixpoint at the pinned naf values, kept when its
-    own naf values are those within ``eps`` (see :func:`_pinned_guesses`);
-    no guess domain is built and ``report.guess_depth`` stays None.
+    :func:`_naf_bounds`).  When it pins them all within ``eps``, each naf
+    literal's domain is its one pinned value (see :func:`_pinned_domains`),
+    so there is one guess; no guess domain is built and
+    ``report.guess_depth`` stays None.  Every other program with a naf
+    cycle guesses over one domain for every naf literal: the naf image of
+    the operator closure of the program weights (depth ``guess_depth``,
+    lowered while the closure exceeds its cap or the joint guesses,
+    ``len(domain) ** len(gp.naf_ids)``, exceed ``max_guesses``; see
+    :func:`_naf_guess_domain`).  GuessLimitExceeded is raised when the
+    guesses the search makes over that domain, ``len(domain) ** g`` for
+    the g guessed naf literals, exceed ``max_guesses`` at the depth chosen.
 
-    Every other program with a naf cycle is guessed: the self-consistent
-    guesses follow the first fixpoint.  A guess is a frozen naf assignment,
-    from each naf literal id to a value of the naf image of the operator
-    closure of the program weights (depth ``guess_depth``, lowered while
-    the closure exceeds its cap or the joint guesses,
-    ``len(domain) ** len(gp.naf_ids)``, exceed ``max_guesses``).  Its
-    frozen fixpoint, evaluated in the finer order where naf is no
-    dependency, is a candidate when its own naf values are the guess; one
-    that is inconsistent, does not converge or raises some head's
-    uncertainty is none.  The guesses are not enumerated jointly.  The
-    frozen components fall into blocks that read nothing of one another
-    (see :func:`_search_blocks`); each block is searched on its own, one
+    The guesses are not enumerated jointly.  The frozen components fall
+    into blocks that read nothing of one another (see
+    :func:`_search_blocks`); each block is searched on its own, one
     component at a time, a naf literal guessed only where it is read
     before its value is final and filtered everywhere else, and the
     blocks' results are combined as a product (see
     :func:`_self_consistent_guesses`).  The candidates come in the joint
-    enumeration's order and bits all the same.  GuessLimitExceeded is
-    raised when the guesses the search makes, ``len(domain) ** g`` for the
-    g guessed naf literals, exceed ``max_guesses`` at the depth chosen (see
-    :func:`_naf_guess_domain`).
+    enumeration's order and bits all the same.
 
     A candidate equal within ``eps`` to an earlier kept one, by
     :func:`interpretations_equal`, is dropped.  Only near kept ones are
@@ -983,18 +976,20 @@ def solve(
         from .oracle import check_depth
 
         check_depth(guess_depth)
-        pinned = _pinned_guesses(gp, eps, max_iter)
-        if pinned is not None:
-            # every answer set's naf values are the pinned ones within eps
-            found += pinned
-        else:
-            blocks = _search_blocks(gp)
-            guessed = sum(g for block in blocks for _, reads, _ in block for _, g in reads)
+        # every answer set's naf values are the pinned ones within eps
+        domains = _pinned_domains(gp, eps, max_iter)
+        blocks = _search_blocks(gp)
+        if domains is None:
             domain, report.guess_depth = _naf_guess_domain(
-                gp, guess_depth, len(naf_ids), max_guesses, guessed
+                gp, guess_depth, len(naf_ids), max_guesses
             )
-            # every answer set with naf values in the domain is the fixpoint at them
-            found += _self_consistent_guesses(gp, blocks, domain, eps, max_iter)
+            guessed = sum(g for block in blocks for _, reads, _ in block for _, g in reads)
+            guesses = len(domain) ** guessed
+            if guesses > max_guesses:
+                raise GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
+            domains = dict.fromkeys(naf_ids, domain)
+        # every answer set with naf values in the domains is the fixpoint at them
+        found += _self_consistent_guesses(gp, blocks, domains, eps, max_iter)
 
     for candidate in _distinct(found, naf_ids, eps):
         result = verify_answer_set(gp, candidate, eps=eps, max_iter=max_iter)

@@ -201,6 +201,19 @@ def pairwise_distinct(found, eps=EPS):
     return candidates
 
 
+def joint_guess_domain(gp, depth, slots, max_guesses):
+    """``solver._naf_guess_domain``, with the joint loop's guess limit.
+
+    GuessLimitExceeded when the ``len(domain) ** slots`` joint guesses
+    exceed ``max_guesses`` at the depth chosen.
+    """
+    domain, depth = solver._naf_guess_domain(gp, depth, slots, max_guesses)
+    guesses = len(domain) ** slots
+    if guesses > max_guesses:
+        raise solver.GuessLimitExceeded(f"{guesses} naf guesses exceed max_guesses={max_guesses}")
+    return domain, depth
+
+
 def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
                 max_guesses=100_000):
     """``solve``'s candidates and guess depth, from the joint guess loop.
@@ -218,7 +231,7 @@ def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
         results.append(solver.CandidateResult(None, solver.Status.NON_CONVERGENT, None))
     depth = None
     if any(c.naf_inside for c in gp.components):
-        domain, depth = solver._naf_guess_domain(gp, guess_depth, len(gp.naf_ids), max_guesses)
+        domain, depth = joint_guess_domain(gp, guess_depth, len(gp.naf_ids), max_guesses)
         for combo in itertools.product(domain, repeat=len(gp.naf_ids)):
             guess = dict(zip(gp.naf_ids, combo))
             try:

@@ -49,9 +49,10 @@ from fuzzyasp import (
     verify_answer_set,
 )
 from fuzzyasp.program import VALUE
+from fuzzyasp.solver import DEFAULT_MAX_ITER
 from fuzzyasp.truthspace import DEFAULT_EPS
 
-from bruteforce_oracle import joint_solve, pairwise_distinct
+from bruteforce_oracle import joint_guess_domain, joint_solve, pairwise_distinct
 from conftest import approx_params
 from reference_semantics import eval_body, is_supported, reduct, satisfies
 from test_engine import stratified_programs
@@ -89,6 +90,14 @@ class TestInconsistency:
 
     def test_defaults_are_consistent(self):
         assert is_inconsistent(interp(a=UNKNOWN, n_a=UNKNOWN)) is None
+
+    @pytest.mark.parametrize("names", [("n_a", "a"), ("a", "n_a")])
+    def test_truth_sum_is_taken_from_the_positive_literal(self, names):
+        # in floats 0.7 - (1 - 0.3) is 0 but 0.3 - (1 - 0.7) is -5.6e-17, so
+        # at eps = 0 the test is not symmetric: it reads a's value first,
+        # whichever polarity comes first in the interpretation
+        values = {"a": ifn(0.7, 0.7), "n_a": ifn(0.3, 0.3)}
+        assert is_inconsistent(interp(**{n: values[n] for n in names}), eps=0.0) is None
 
 
 class TestEvalBody:
@@ -720,10 +729,10 @@ _FIVE_WEIGHTS = [rule.weight for rule in parse(TestGuessLimits.FIVE_WEIGHTS).rul
 @example(_FIVE_WEIGHTS, 3, 1, 100_000)  # the cap ends level 3
 def test_guess_domain_matches_the_retry_loop(weights, depth, slots, max_guesses):
     # same values in the same order, bit for bit, and the same depth, or
-    # the same error
+    # the same error once the joint guesses are counted
     gp = _seeded_loop(weights)
     assert _domain_outcome(
-        lambda: solver._naf_guess_domain(gp, depth, slots, max_guesses)
+        lambda: joint_guess_domain(gp, depth, slots, max_guesses)
     ) == _domain_outcome(lambda: retry_guess_domain(gp, depth, slots, max_guesses))
 
 
@@ -774,7 +783,7 @@ _LIMITS = dict(max_iter=200, guess_depth=2, max_guesses=2_000)
 
 def _pinned(gp):
     """Whether solve's well-founded bounds pin every naf literal of ``gp``."""
-    return solver._pinned_guesses(gp, DEFAULT_EPS, _LIMITS["max_iter"]) is not None
+    return solver._pinned_domains(gp, DEFAULT_EPS, _LIMITS["max_iter"]) is not None
 
 
 def _bits(x):
@@ -834,8 +843,26 @@ class TestGuessSearch:
                 limit = _LIMITS["max_guesses"]
                 assert found[1] == f"{size**guessed} naf guesses exceed max_guesses={limit}"
                 return
-            # the search fits: the joint loop at its depth, with only its cap lifted
             event("only the joint loop exceeds max_guesses")
+            if count > 25_000:
+                # too many to rerun: the search is held, bit for bit, to the
+                # unsplit walk, the same search over one block of them all
+                event("the unsplit walk is the reference")
+                blocks = solver._search_blocks(gp)
+                domain, _ = solver._naf_guess_domain(
+                    gp, _LIMITS["guess_depth"], slots, _LIMITS["max_guesses"]
+                )
+                domains = dict.fromkeys(gp.naf_ids, domain)
+
+                def walk(blocks):
+                    found = solver._self_consistent_guesses(
+                        gp, blocks, domains, DEFAULT_EPS, _LIMITS["max_iter"]
+                    )
+                    return _bits([(fix, list(guess.items())) for fix, guess in found])
+
+                assert walk(blocks) == walk([sum(blocks, [])])
+                return
+            # the search fits: the joint loop at its depth, with only its cap lifted
             lifted = dict(_LIMITS, guess_depth=found[0], max_guesses=count)
             joint = _outcome(lambda: joint_solve(gp, **lifted))
         assert found == joint
@@ -871,6 +898,7 @@ class TestGuessSearch:
         # through c: c is evaluated first, and a once per guess of b alone
         gp = ground(parse("a <- not b, not c. b <- not a. c."))
         domain, _ = solver._naf_guess_domain(gp, 3, len(gp.naf_ids), 100_000)
+        domains = dict.fromkeys(gp.naf_ids, domain)
         evaluated = []
         evaluate = solver._evaluate
 
@@ -879,7 +907,7 @@ class TestGuessSearch:
             return evaluate(gp, component, *args)
 
         monkeypatch.setattr(solver, "_evaluate", spy)
-        found = solver._self_consistent_guesses(gp, solver._search_blocks(gp), domain, 1e-9, 100)
+        found = solver._self_consistent_guesses(gp, solver._search_blocks(gp), domains, 1e-9, 100)
         assert len(domain) > 1 and len(found) == 1
         assert evaluated.count((gp.table.ids[lit("a")],)) == len(domain)
 
@@ -892,7 +920,7 @@ class TestGuessSearch:
         # + ... + 2**k) calls.
         gp = ground(parse(_loops(k)))
         blocks = solver._search_blocks(gp)
-        domain, _ = solver._naf_guess_domain(gp, 3, len(gp.naf_ids), 100_000, k)
+        domain, _ = solver._naf_guess_domain(gp, 3, len(gp.naf_ids), 100_000)
         assert len(blocks) == k and len(domain) == 2
         calls = 0
         evaluate = solver._evaluate
@@ -903,7 +931,8 @@ class TestGuessSearch:
             return evaluate(*args)
 
         monkeypatch.setattr(solver, "_evaluate", spy)
-        found = solver._self_consistent_guesses(gp, blocks, domain, DEFAULT_EPS, 100)
+        domains = dict.fromkeys(gp.naf_ids, domain)
+        found = solver._self_consistent_guesses(gp, blocks, domains, DEFAULT_EPS, 100)
         assert len(found) == 2**k
         assert calls == 4 * k
 
@@ -1005,6 +1034,28 @@ class TestWellFoundedBounds:
         (model,) = report.answer_sets
         expected = {"c0": TRUE, "c1": FALSE, "n_c0": FALSE, "q0": tfn(0.4, 0.4, 1.5)}
         assert interpretations_equal(model, interp(**expected))
+
+    def test_a_pinned_guess_that_fails_its_check_is_no_candidate(self):
+        # the bounds pin p0 at b = 0, its b of 5e-7 lying within SNAP of 0,
+        # and p1 at b = 0.999.  The frozen fixpoint there gives p0 a b of
+        # 5e-7 again, so the search over the pinned values keeps nothing, and
+        # the one candidate is the first fixpoint, the operator trajectory's.
+        gp = ground(parse((FIXTURES / "pinned_rejected.fasp").read_text()))
+        domains = solver._pinned_domains(gp, DEFAULT_EPS, DEFAULT_MAX_ITER)
+        p0, p1 = (gp.table.ids[lit(name)] for name in ("p0", "p1"))
+        assert domains[p0] == [TRUE]
+        (point,) = domains[p1]
+        assert equal(point, ifn(0.001, 0.001), 1e-8)
+        blocks = solver._search_blocks(gp)
+        found = solver._self_consistent_guesses(gp, blocks, domains, DEFAULT_EPS, DEFAULT_MAX_ITER)
+        assert found == []
+        report = solve(gp)
+        assert report.guess_depth is None
+        (candidate,) = report.candidates
+        assert candidate.status is Status.ANSWER_SET
+        first = solver._fixpoint(gp, DEFAULT_EPS, DEFAULT_MAX_ITER)
+        assert _bits(candidate.interpretation) == _bits(first)
+        assert abs(first.values[p0].b - 5e-7) <= 1e-9
 
     @pytest.mark.parametrize("w", [0.5, 0.6, 0.8])
     def test_a_pinned_weighted_loop_builds_no_guess_domain(self, monkeypatch, w):
