@@ -976,7 +976,8 @@ def solve(
         from .oracle import check_depth
 
         check_depth(guess_depth)
-        # every answer set's naf values are the pinned ones within eps
+        # where the bounds pin every naf literal, every answer set's naf
+        # values are the pinned ones within eps
         domains = _pinned_domains(gp, eps, max_iter)
         blocks = _search_blocks(gp)
         if domains is None:

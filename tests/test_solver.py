@@ -855,10 +855,10 @@ class TestGuessSearch:
                 domains = dict.fromkeys(gp.naf_ids, domain)
 
                 def walk(blocks):
-                    found = solver._self_consistent_guesses(
+                    kept = solver._self_consistent_guesses(
                         gp, blocks, domains, DEFAULT_EPS, _LIMITS["max_iter"]
                     )
-                    return _bits([(fix, list(guess.items())) for fix, guess in found])
+                    return _bits([(fix, list(guess.items())) for fix, guess in kept])
 
                 assert walk(blocks) == walk([sum(blocks, [])])
                 return
