@@ -187,11 +187,12 @@ _ENTRY = "    "
 _VALUE_MEMBER = ": " + _json_block(
     "{", "}", [f'"{key}": %s' for key in ("a", "b", "c", "d", "truncated", "t", "k")], _ENTRY + "  "
 )
-_ROUND_MEMBER = ": " + _json_block("[", "]", ["%s"] * 5, _ENTRY + "  ")
 # the same with each float slot a %r, which spells a finite float as
 # _float_text does
 _FINITE_VALUE_MEMBER = _VALUE_MEMBER % ("%r", "%r", "%r", "%r", "%s", "%r", "%r")
-_FINITE_ROUND_MEMBER = _ROUND_MEMBER % ("%r", "%r", "%r", "%r", "%s")
+# a trace literal's member: a %r per parameter, since every value's
+# parameters are finite (make and the connectives require it)
+_ROUND_MEMBER = ": " + _json_block("[", "]", ["%r"] * 4 + ["%s"], _ENTRY + "  ")
 
 
 def _value_member(v: FuzzyTruth) -> str:
@@ -207,11 +208,7 @@ def _value_member(v: FuzzyTruth) -> str:
 
 def _round_member(v: FuzzyTruth) -> str:
     """A trace literal's member after its name: the value's parameters."""
-    a, b, c, d = v
-    truncated = _JSON_BOOL[v.truncated]
-    if -math.inf < a + b + c + d < math.inf:
-        return _FINITE_ROUND_MEMBER % (a, b, c, d, truncated)
-    return _ROUND_MEMBER % (*map(_float_text, v), truncated)
+    return _ROUND_MEMBER % (*v, _JSON_BOOL[v.truncated])
 
 
 def _report_text(report, with_trace: bool) -> str:

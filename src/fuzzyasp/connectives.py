@@ -23,11 +23,8 @@ computes the same restricted forms in place, on float parameters, and calls
 and ``disj`` in ``tests/reference_semantics.py``.  ``_contribution`` is the
 one disjunction fold: the fixpoint folds the bodies ``_body`` evaluates,
 and ``verify_answer_set`` folds the body values its model check kept.  The
-operator closure (``oracle.closure_levels``) does the same for each pair
-of restricted values, with each value's reflected parameters ``1 - x``
-computed once per level, and calls ``conj`` and ``disj`` for a pair with
-a truncated value.  The test
-``test_closure_matches_the_full_loop`` holds it to them bit for bit.
+operator closure (``oracle.closure_levels``) has no such copy: it builds
+every value by calling ``negate``, ``naf``, ``conj`` and ``disj``.
 
 Every value ``conj`` and ``disj`` return has finite parameters, as
 :func:`~fuzzyasp.truthspace.make` requires of its input.  Only the general

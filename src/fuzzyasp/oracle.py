@@ -3,13 +3,14 @@
 The quadrature and Monte Carlo checks are the correctness yardstick for the
 closed-form measures and the solver's brute-force tests.  The operator
 closure is also on the solve path: on every program with a cycle through
-naf the solver draws its naf guess domain from :func:`closure_levels`, the
-level-by-level stream that :func:`closure_enumerate` collects, and stops it
-once the domain is too large.  So the closure is a float kernel, as the
-solver's rule bodies are: a pair of restricted values is combined on its
-parameters, and a value is built only when its key is new.  numpy and scipy
-are imported inside the numeric checks only, so the solver's use of the
-closure (and importing the CLI) does not load them.
+naf whose naf values the well-founded bounds do not pin, the solver draws
+its naf guess domain from :func:`closure_levels`, the level-by-level
+stream that :func:`closure_enumerate` collects, and stops it once the
+domain is too large.  The closure builds every value by calling the
+connectives ``negate``, ``naf``, ``conj`` and ``disj``, so it holds no
+copy of their arithmetic.  numpy and scipy are imported inside the numeric
+checks only, so the solver's use of the closure (and importing the CLI)
+does not load them.
 """
 
 from __future__ import annotations
@@ -126,10 +127,8 @@ def closure_enumerate(
       skipped once ``(v, w)`` has run.
     - A level that adds no value ends the loop: the next would repeat it.
 
-    A pair of restricted values takes ``conj``'s and ``disj``'s
-    componentwise products on its float parameters, bit for bit, and a pair
-    with a truncated value calls them; a value is built only for a key not
-    seen before.
+    Every value it keeps is the return value of a call of ``negate``,
+    ``naf``, ``conj`` or ``disj`` (or a seed).
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, and
     ClosureTooLarge past ``cap`` values.
@@ -157,13 +156,10 @@ def closure_levels(
     closure past ``cap`` values, once the values keyed before it were
     yielded.
 
-    The pairs run on float parameters.  Each level unpacks its values once,
-    with their reflected parameters ``1 - x``; a pair of restricted values
-    takes the componentwise products of ``conj`` and ``disj`` in place, zero
-    rule included, and a pair with a truncated value calls them.  A result
-    is keyed on its parameters, and a FuzzyTruth is built only for a key
-    not seen before.  Within one run the rounding of the key is memoised:
-    a closure has far fewer distinct floats than parameters.
+    Each value comes from a call of ``negate``, ``naf``, ``conj`` or
+    ``disj``.  A value met before, bit for bit or up to the sign of a zero,
+    is skipped before its key is rounded: a closure repeats its values far
+    more often than it makes new ones.
 
     Raises OracleArgumentError unless 0 <= depth <= 4 and cap >= 1, as the
     first value is asked for.
@@ -171,74 +167,39 @@ def closure_levels(
     check_depth(depth)
     if cap < 1:
         raise OracleArgumentError("the cap must be at least 1")
-    # round(x, 9) by float, so -0.0 shares 0.0's entry: a key may hold
-    # either zero, which == does not tell apart
-    rounded: dict[float, float] = {}
+    values: dict[tuple, FuzzyTruth] = {}  # key -> the first value with it
+    met: set[FuzzyTruth] = set()  # every value produced, whose key is in values
 
-    def key(a: float, b: float, c: float, d: float) -> tuple:
-        # the key of closure_enumerate, up to the sign of a zero
-        for x in (a, b, c, d):
-            if x not in rounded:
-                rounded[x] = round(x, 9)
-        return (rounded[a], rounded[b], rounded[c], rounded[d], a < 0.0 or d > 1.0)
+    def new(p: FuzzyTruth) -> bool:
+        """Whether ``p`` is the first value with its key; stores it if so."""
+        if p in met:
+            return False
+        met.add(p)
+        a, b, c, d = p
+        k = (round(a, 9), round(b, 9), round(c, 9), round(d, 9), a < 0.0 or d > 1.0)
+        if k in values:
+            return False
+        values[k] = p
+        return True
 
-    values: dict[tuple, FuzzyTruth] = {}
     for w in weights:
-        k = key(*w)
-        if k not in values:
-            values[k] = w
+        if new(w):
             yield 0, w
     for level in range(1, depth + 1):
         current = list(values.values())
         for v in current:
             for p in (negate(v), naf(v)):
-                k = key(*p)
-                if k not in values:
-                    values[k] = p
+                if new(p):
                     yield level, p
-        # each value's parameters, reflected parameters and whether it is restricted
-        rows = [
-            (v, a, b, c, d, 1.0 - a, 1.0 - b, 1.0 - c, 1.0 - d, 0.0 <= a and d <= 1.0)
-            for v in current
-            for a, b, c, d in (v,)
-        ]
-        for i, (v, xa, xb, xc, xd, ra, rb, rc, rd, v_restricted) in enumerate(rows):
-            for w, ya, yb, yc, yd, sa, sb, sc, sd, w_restricted in rows[i:]:
-                if v_restricted and w_restricted:
-                    # conj's restricted form, zero rule included, then disj's;
-                    # both results are restricted, so their keys end in False
-                    a = xa * ya
-                    b = xb * yb
-                    c = xc * yc or b
-                    d = xd * yd or a
+        for i, v in enumerate(current):
+            for w in current[i:]:
+                for op in (conj, disj):
                     try:
-                        k = (rounded[a], rounded[b], rounded[c], rounded[d], False)
-                    except KeyError:
-                        k = key(a, b, c, d)
-                    if k not in values:
-                        values[k] = p = FuzzyTruth(a, b, c, d)
+                        p = op(v, w)
+                    except OrderViolation:
+                        continue
+                    if new(p):
                         yield level, p
-                    a = 1.0 - ra * sa
-                    b = 1.0 - rb * sb
-                    c = 1.0 - rc * sc
-                    d = 1.0 - rd * sd
-                    try:
-                        k = (rounded[a], rounded[b], rounded[c], rounded[d], False)
-                    except KeyError:
-                        k = key(a, b, c, d)
-                    if k not in values:
-                        values[k] = p = FuzzyTruth(a, b, c, d)
-                        yield level, p
-                else:
-                    for op in (conj, disj):
-                        try:
-                            p = op(v, w)
-                        except OrderViolation:
-                            continue
-                        k = key(*p)
-                        if k not in values:
-                            values[k] = p
-                            yield level, p
                 if len(values) > cap:
                     raise ClosureTooLarge(f"closure exceeded {cap} values")
         if len(values) == len(current):

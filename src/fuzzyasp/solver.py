@@ -298,7 +298,6 @@ def _fixpoint(
     max_iter: int,
     *,
     naf_values: dict | None = None,
-    trace: list | None = None,
     report: SolveReport | None = None,
 ) -> Interpretation:
     """Fixpoint of the supported-value operator, one component at a time.
@@ -316,9 +315,10 @@ def _fixpoint(
     for at most ``max_iter`` rounds; it is NonConvergent past that.  Every
     evaluation of a component is one round: it counts in
     ``report.iterations`` and appends a copy of the whole interpretation,
-    on ``gp``'s literal table, to ``trace``.  A round whose products
-    overflow (OrderViolation) is not completed: the component, cyclic or
-    not, is NonConvergent.  An aggregation tie raises Inconsistent.
+    on ``gp``'s literal table, to ``report.trace`` when that is a list.  A
+    round whose products overflow (OrderViolation) is not completed: the
+    component, cyclic or not, is NonConvergent.  An aggregation tie raises
+    Inconsistent.
 
     A component's own naf cycle (``naf_inside``, never set when naf is
     frozen) decides how it is iterated.  With one, its naf items move with
@@ -336,7 +336,7 @@ def _fixpoint(
     """
     values = [UNKNOWN] * len(gp.literals)
     for component in gp.components if naf_values is None else gp.frozen_components:
-        _evaluate(gp, component, values, naf_values, eps, max_iter, trace, report)
+        _evaluate(gp, component, values, naf_values, eps, max_iter, report)
     return Interpretation.of(gp.table, values)
 
 
@@ -347,7 +347,6 @@ def _evaluate(
     naf_values,
     eps: float,
     max_iter: int,
-    trace: list | None = None,
     report: SolveReport | None = None,
 ) -> None:
     """Evaluate one component of :func:`_fixpoint` in place, in ``values``.
@@ -356,23 +355,23 @@ def _evaluate(
     must already hold its final value.  Raises as :func:`_fixpoint` does.
 
     An acyclic component has one head, which none of its rules read, so it
-    is evaluated in one step: one :func:`_target`, one round counted and
-    traced, then the contradiction check.  Its OrderViolation is
-    ``NonConvergent(1)``.
+    is evaluated in one step: one :func:`_contribution`, one round counted
+    and traced, then the contradiction check.  Its OrderViolation is
+    ``NonConvergent(1)``.  No aggregation runs there: a complement with
+    rules is a head that depends on its complement and is depended on by
+    it, so the two share a cyclic component.
     """
     heads, cyclic, naf_inside, plan = component
     if not cyclic:
-        ((head, own, against),) = plan
+        ((head, own, _),) = plan
         try:
-            values[head] = _target(values, own, against, naf_values, eps)
-        except AggregationTie as exc:
-            raise Inconsistent(gp.literals[head].atom) from exc
+            values[head] = _contribution(values, own, naf_values)
         except OrderViolation as exc:
             raise NonConvergent(1) from exc
         if report is not None:
             report.iterations += 1
-        if trace is not None:
-            trace.append(Interpretation.of(gp.table, list(values)))
+            if report.trace is not None:
+                report.trace.append(Interpretation.of(gp.table, list(values)))
         atom = _contradiction(gp.table, values, heads, eps)
         if atom is not None:
             raise Inconsistent(atom)
@@ -396,8 +395,8 @@ def _evaluate(
             values[head] = value
         if report is not None:
             report.iterations += 1
-        if trace is not None:
-            trace.append(Interpretation.of(gp.table, list(values)))
+            if report.trace is not None:
+                report.trace.append(Interpretation.of(gp.table, list(values)))
         if not naf_inside:
             for head, old, value in zip(heads, previous, new):
                 if uncertainty_degree(value) > uncertainty_degree(old) + eps:
@@ -958,15 +957,14 @@ def solve(
     remember nothing.
     """
     gp = ground(program) if isinstance(program, Program) else program
-    trace = [] if collect_trace else None
-    report = SolveReport(trace=trace)
+    report = SolveReport(trace=[] if collect_trace else None)
     naf_ids = gp.naf_ids
     naf_cycle = any(c.naf_inside for c in gp.components)
 
     # (fixpoint, the frozen naf assignment it is the fixpoint at, or None)
     found: list[tuple[Interpretation, dict | None]] = []
     try:
-        fix = _fixpoint(gp, eps, max_iter, trace=trace, report=report)
+        fix = _fixpoint(gp, eps, max_iter, report=report)
         found.append((fix, None if naf_cycle else {b: naf(fix.values[b]) for b in naf_ids}))
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))

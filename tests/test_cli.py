@@ -247,6 +247,28 @@ class TestSolveCommand:
         assert f"--max-iter MAX_ITER rounds allowed per cyclic component (default {DEFAULT_MAX_ITER})" in out
         assert f"--tol TOL comparison tolerance (default {DEFAULT_EPS})" in out
 
+    def test_tol_reaches_the_solver(self, capsys):
+        # at tolerance 0 the guess a = 1 is an acyclic contradiction at c
+        path = str(pathlib.Path(__file__).resolve().parent / "fixtures" / "acyclic_contradiction.fasp")
+        code, out, _ = run(capsys, "solve", path, "--tol", "0")
+        assert code == 0
+        assert "candidates: non-convergent, answer-set\n" in out
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0
+        assert "candidates: non-convergent, answer-set, answer-set\n" in out
+
+    def test_max_iter_reaches_the_solver(self, capsys):
+        # 20 rounds leave the reduct's fixpoint unfinished, 50 do not; the
+        # default is enough for the bounds to pin the answer set
+        path = str(pathlib.Path(__file__).resolve().parent / "fixtures" / "reduct_non_convergent.fasp")
+        code, out, _ = run(capsys, "solve", path, "--max-iter", "20")
+        assert code == 1
+        assert "candidates: non-convergent\n" in out
+        code, out, _ = run(capsys, "solve", path, "--max-iter", "50")
+        assert code == 0
+        assert "candidates: answer-set\n" in out
+        assert "guess depth: 2\n" in out
+
     def test_guess_depth_absent_without_guessing(self, capsys, tumor_file):
         code, out, _ = run(capsys, "solve", tumor_file, "--json")
         assert json.loads(out)["guess_depth"] is None

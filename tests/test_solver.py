@@ -1084,6 +1084,59 @@ class TestWellFoundedBounds:
         assert calls == [True, True]
 
 
+# k = 1.0 and t = 0.5000000000000001: at eps = 0 it contradicts the
+# unknown value of its complement, which has no rules
+NEAR_UNKNOWN = "trfn(1e-17,1.1102230246251565e-16,0.9999999999999999,1.0)"
+
+
+class TestFailureBranches:
+    """Checks that only particular inputs reach, each held by a program."""
+
+    def test_an_acyclic_head_can_contradict_its_complement(self):
+        # a's complement has no rules, so a is an acyclic component and its
+        # own contradiction check raises
+        with pytest.raises(Inconsistent) as exc:
+            kmin_supported_model(ground(parse(f"a. [{NEAR_UNKNOWN}] b <- -a.")), eps=0.0)
+        assert exc.value.atom == Atom("a")
+
+    def test_a_guess_with_an_acyclic_contradiction_is_no_candidate(self):
+        # the guess a = 1 gives c the near-unknown weight, which the acyclic
+        # check rejects in the search; at the default eps it is an answer set
+        source = (FIXTURES / "acyclic_contradiction.fasp").read_text()
+        report = solve(parse(source), eps=0.0)
+        assert [c.status for c in report.candidates] == [Status.NON_CONVERGENT, Status.ANSWER_SET]
+        assert report.answer_sets[0].value(lit("c")) == FALSE
+        report = solve(parse(source))
+        assert [c.status for c in report.candidates] == [
+            Status.NON_CONVERGENT, Status.ANSWER_SET, Status.ANSWER_SET,
+        ]
+
+    REDUCT = (FIXTURES / "reduct_non_convergent.fasp").read_text()
+
+    def test_too_few_rounds_leave_the_bounds_and_the_reduct_unfinished(self):
+        # at 20 rounds a bound fixpoint does not converge, so the domain is
+        # guessed, and the one candidate, the operator trajectory's fixpoint,
+        # has a reduct whose fixpoint does not converge either
+        gp = ground(parse(self.REDUCT))
+        assert solver._naf_bounds(gp, DEFAULT_EPS, 20) is None
+        report = solve(gp, max_iter=20)
+        assert report.guess_depth == 2
+        (candidate,) = report.candidates
+        assert candidate.status is Status.NON_CONVERGENT
+        assert candidate.interpretation is not None
+        assert report.answer_sets == []
+
+    def test_more_rounds_verify_the_guessed_answer_set(self):
+        report = solve(parse(self.REDUCT), max_iter=50)
+        assert report.guess_depth == 2
+        assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+
+    def test_the_default_rounds_pin_the_answer_set(self):
+        report = solve(parse(self.REDUCT))
+        assert report.guess_depth is None
+        assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+
+
 class TestKnownDefects:
     """The search defects the ROADMAP tracks: item 4's as strict xfails, item 3's mended."""
 
