@@ -20,11 +20,12 @@ The solver's body kernel (``solver._body`` and ``solver._contribution``)
 computes the same restricted forms in place, on float parameters, and calls
 :func:`_product` and :func:`_finite` for the general one.
 ``tests/test_kernel.py`` holds it bit for bit to the fold through ``conj``
-and ``disj`` in ``tests/reference_semantics.py``.  ``_contribution`` is the
-one disjunction fold: the fixpoint folds the bodies ``_body`` evaluates,
-and ``verify_answer_set`` folds the body values its model check kept.  The
-operator closure (``oracle.closure_levels``) has no such copy: it builds
-every value by calling ``negate``, ``naf``, ``conj`` and ``disj``.
+and ``disj`` in ``tests/reference_semantics.py``.  That copy serves the
+fixpoint alone.  The support check of ``verify_answer_set`` folds the body
+values its model check kept by calling :func:`disj`, and aggregates
+against a complement's evidence with :func:`kagg` and :func:`negate`; the
+operator closure (``oracle.closure_levels``) builds every value by calling
+``negate``, ``naf``, ``conj`` and ``disj``.
 
 Every value ``conj`` and ``disj`` return has finite parameters, as
 :func:`~fuzzyasp.truthspace.make` requires of its input.  Only the general

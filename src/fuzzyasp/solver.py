@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 # conj is unused here, but bench/tracing.py counts its calls through this name
-from .connectives import _finite, _product, conj, kagg, naf, negate  # noqa: F401
+from .connectives import _finite, _product, conj, disj, kagg, naf, negate  # noqa: F401
 from .errors import (
     AggregationTie,
     ClosureTooLarge,
@@ -191,26 +192,18 @@ def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
     return truth_degree(head) > truth_degree(body) + eps
 
 
-def _computed(values: list, value: tuple, weight: None, naf_values) -> tuple:
-    """The body value a rule already has: an ``evaluate`` of :func:`_contribution`."""
-    return value
-
-
-def _contribution(values: list, rules, naf_values, evaluate=_body) -> FuzzyTruth:
+def _contribution(values: list, rules, naf_values) -> FuzzyTruth:
     """Disjunction fold (program order) of the body values of one head's rules.
 
-    Each rule's ``(a, b, c, d)`` is ``evaluate(values, *rule, naf_values)``:
-    :func:`_body` of its ``(body, weight)`` in the fixpoint, and
-    :func:`_computed` of a ``(body value, None)`` pair in the support check
-    of :func:`verify_answer_set`, which folds the values its model check
-    computed.  The restricted form of
+    The fixpoint's kernel: each ``(body, weight)`` rule is evaluated by
+    :func:`_body`, and the restricted form of
     :func:`~fuzzyasp.connectives.disj` is taken in place on those
     parameters, so one value is built per head; a truncated operand takes
-    its general form.
+    its general form.  The bits are those of a fold through ``disj``.
     """
     a = None
     for body, weight in rules:
-        ya, yb, yc, yd = evaluate(values, body, weight, naf_values)
+        ya, yb, yc, yd = _body(values, body, weight, naf_values)
         if a is None:
             a, b, c, d = ya, yb, yc, yd
         elif 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
@@ -229,16 +222,16 @@ def _contribution(values: list, rules, naf_values, evaluate=_body) -> FuzzyTruth
     return FuzzyTruth(a, b, c, d)
 
 
-def _target(values: list, own, against, naf_values, eps: float, evaluate=_body) -> FuzzyTruth:
-    """The supported value for a head literal with compiled rules ``own``.
+def _target(values: list, own, against, naf_values, eps: float) -> FuzzyTruth:
+    """The fixpoint's supported value for a head literal with compiled rules ``own``.
 
     The complement's combined evidence (its rules, ``against``) is
-    aggregated in only when the complement has rules of its own;
-    AggregationTie propagates.  ``evaluate`` is as in :func:`_contribution`.
+    aggregated in with ``kagg`` only when the complement has rules of its
+    own; AggregationTie propagates.
     """
-    value = _contribution(values, own, naf_values, evaluate)
+    value = _contribution(values, own, naf_values)
     if against:
-        return kagg(value, negate(_contribution(values, against, naf_values, evaluate)), eps)
+        return kagg(value, negate(_contribution(values, against, naf_values)), eps)
     return value
 
 
@@ -260,35 +253,32 @@ class Violation:
         )
 
 
-def _unsupported(gp: GroundProgram, values: list, eps: float, computed: list) -> Violation | None:
+def _unsupported(gp: GroundProgram, values: list, eps: float, kept: list) -> Violation | None:
     """First supportedness violation, heads in ``gp.heads`` order, or None.
 
-    ``computed[h]`` holds a ``(body value, None)`` pair for each of literal
-    h's rules in program order, the values :func:`verify_answer_set`'s
-    model check kept, which :func:`_computed` hands to :func:`_target`.
+    ``kept[h]`` lists the body values of literal h's rules in program
+    order, as :func:`verify_answer_set`'s model check computed them.  A
+    head's supported value is their fold with
+    :func:`~fuzzyasp.connectives.disj` (a one-rule head's is its kept value
+    itself), aggregated with :func:`~fuzzyasp.connectives.kagg` against the
+    ``negate`` of its complement's fold when the complement has rules.
     Condition 1 covers single-rule heads, condition 2 the disjunctive
     combination of several rules, condition 3 the aggregation against a
-    complement that also has rules.
-
-    A condition-1 head's supported value is its one rule's body value, so
-    its value is compared with that kept value directly, and a
-    :class:`FuzzyTruth` of it is built only for the Violation.
+    complement that also has rules; an aggregation tie violates it.
     """
     complement = gp.table.complement
     for head in gp.heads:
-        own = computed[head]
-        against = computed[complement[head]] if complement[head] >= 0 else ()
-        if not against and len(own) == 1:
-            ((value, _),) = own
-            if not equal(values[head], value, eps):
-                return Violation(gp.literals[head], 1, FuzzyTruth(*value), values[head])
-            continue
+        own = kept[head]
+        against = kept[complement[head]] if complement[head] >= 0 else ()
         try:
-            expected = _target(values, own, against, None, eps, _computed)
+            expected = functools.reduce(disj, own)
+            if against:
+                expected = kagg(expected, negate(functools.reduce(disj, against)), eps)
         except AggregationTie:
             return Violation(gp.literals[head], 3)
         if not equal(values[head], expected, eps):
-            return Violation(gp.literals[head], 3 if against else 2, expected, values[head])
+            condition = 3 if against else 1 if len(own) == 1 else 2
+            return Violation(gp.literals[head], condition, FuzzyTruth(*expected), values[head])
     return None
 
 
@@ -525,7 +515,7 @@ def verify_answer_set(
     Each rule body is evaluated once, its ``not b`` items reading the
     reduct's ``naf(I(b))``, taken once per naf literal: the model check
     keeps its value, and the support check folds the kept values of each
-    head's rules.
+    head's rules with ``disj`` and ``kagg``.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
@@ -533,13 +523,13 @@ def verify_answer_set(
     values = i.values if i.table is gp.table else [i.value(l) for l in gp.literals]
     # the reduct's naf values, which the rule bodies read as well
     frozen = {b: naf(values[b]) for b in gp.naf_ids}
-    computed = [[] for _ in values]  # per head, (body value, None) per rule
+    kept = [[] for _ in values]  # per head, the body value of each rule
     for pos, (head, body, weight) in enumerate(gp.compiled):
         value = _body(values, body, weight, frozen)
         if not _satisfied(values[head], value, eps):
             return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
-        computed[head].append((value, None))
-    violation = _unsupported(gp, values, eps, computed)
+        kept[head].append(value)
+    violation = _unsupported(gp, values, eps, kept)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
     # a naf value is 1 - b, never -0.0: values that are == have equal bits.

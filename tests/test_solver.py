@@ -319,6 +319,21 @@ class TestVerifyAnswerSet:
         assert result.status is Status.NOT_SUPPORTED
         assert result.detail == solver.Violation(lit("a"), 3)
 
+    def test_inconsistent_reduct_fixpoint(self):
+        # a supported model, but -a has no rules: the reduct's fixpoint
+        # reads it as unknown, so b and -b are both ifn(0,0.8) there, which
+        # is inconsistent at b
+        gp = ground(parse("b <- -a. [ifn(0.6,0.8)] -b <- c, c. [ifn(0.6,0.8)]"))
+        i = interp(b=ifn(0.6, 0.8), n_a=ifn(1, 1), n_b=ifn(0.2, 0.4), c=ifn(0, 1))
+        assert is_inconsistent(i) is None
+        for candidate in (Interpretation.of(gp.table, [i.value(l) for l in gp.literals]), i):
+            result = verify_answer_set(gp, candidate)
+            assert (result.status, result.detail) == (Status.INCONSISTENT, Atom("b"))
+            assert _composed_verdict(gp, candidate, DEFAULT_EPS, DEFAULT_MAX_ITER) == (
+                Status.INCONSISTENT,
+                Atom("b"),
+            )
+
 
 class TestSolve:
     def test_tumor_end_to_end(self, tumor_source):

@@ -206,6 +206,7 @@ DEEP = "(" * 101 + "ifn(0,1)" + ")" * 101
         (parse, "p(<-).", ParseError, "expected a term, found '<-' (line 1, column 3)"),
         (parse, "a.\n\n\t-.", ParseError, "expected a literal, found '.' (line 3, column 3)"),
         (parse, "p(X) <- q(Y(.", ParseError, "expected ')', found '(' (line 1, column 12)"),
+        (parse, "a. [ifn(0,1) b.", ParseError, "expected ']', found 'b' (line 1, column 14)"),
         (parse_value, "tfn(0,1)", ParseError, "tfn takes 3 parameters, got 2 (line 1, column 1)"),
         (parse_value, "ifn(0,1/0)", ParseError, "division by zero (line 1, column 9)"),
         (parse_value, "tfn(0,1.5,2)", DomainError,
