@@ -18,7 +18,9 @@ path of ``conj`` reproduces that choice (``disj`` needs nothing, since
 
 The solver's body kernel (``solver._body`` and ``solver._contribution``)
 computes the same restricted forms in place, on float parameters, and calls
-:func:`_product` and :func:`_finite` for the general one.
+:func:`_product` and :func:`_finite` for the general one.  There a ``not b``
+item is the one number 1 - b, taken as all four parameters: the point
+:func:`naf` builds, without building it.
 ``tests/test_kernel.py`` holds it bit for bit to the fold through ``conj``
 and ``disj`` in ``tests/reference_semantics.py``.  That copy serves the
 fixpoint alone.  The support check of ``verify_answer_set`` folds the body

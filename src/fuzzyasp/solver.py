@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 # conj is unused here, but bench/tracing.py counts its calls through this name
-from .connectives import _finite, _product, conj, disj, kagg, naf, negate  # noqa: F401
+from .connectives import _finite, _product, conj, disj, kagg, negate  # noqa: F401
 from .errors import (
     AggregationTie,
     ClosureTooLarge,
@@ -66,11 +66,11 @@ class Interpretation:
     :attr:`assignment`, :meth:`items` and the text form.
 
     ``_frozen_at`` is set only by :func:`solve`, and only while it runs:
-    the frozen naf assignment (a dict from each naf literal id to its value)
-    at which these values are the frozen fixpoint of the program being
-    solved (a guess, or the program's own naf values when it has no naf
-    cycle), so that :func:`verify_answer_set` need not compute that
-    fixpoint again.
+    the frozen naf assignment (a dict from each naf literal id b to the
+    number 1 - b its ``not`` items take) at which these values are the
+    frozen fixpoint of the program being solved (a guess, or the program's
+    own naf values when it has no naf cycle), so that
+    :func:`verify_answer_set` need not compute that fixpoint again.
     """
 
     __slots__ = ("table", "values", "_frozen_at")
@@ -150,10 +150,10 @@ def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None
     """The value of a compiled rule body, as its ``(a, b, c, d)`` tuple.
 
     The left-to-right conjunction fold of the body items, then the weight:
-    a literal reads ``values``, ``not b`` reads ``naf_values[b]`` when they
-    are given (frozen naf) and naf of ``values[b]`` otherwise, and an
-    inline value is itself; an empty body is TRUE.  Order matters:
-    conjunction with truncated operands is not associative.
+    a literal reads ``values``, an inline value is itself, and ``not b`` is
+    the exact point at one number, ``naf_values[b]`` when they are given
+    (frozen naf) and ``1 - values[b].b`` otherwise; an empty body is TRUE.
+    Order matters: conjunction with truncated operands is not associative.
 
     This is the solver's one body kernel.  The conjunction is folded on
     float parameters: the restricted form of
@@ -166,7 +166,7 @@ def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None
         if kind == LIT:
             ya, yb, yc, yd = values[x]
         elif kind == NAF:
-            ya, yb, yc, yd = naf(values[x]) if naf_values is None else naf_values[x]
+            ya = yb = yc = yd = 1.0 - values[x].b if naf_values is None else naf_values[x]
         else:
             ya, yb, yc, yd = x
         if a is None:
@@ -296,9 +296,9 @@ def _fixpoint(
     from outside itself is already final when it is evaluated.  Without
     ``naf_values`` each naf item reads the current interpretation and the
     order is ``gp.components``, in which naf is a dependency; with it each
-    item ``not b`` takes the value ``naf_values[b]``, a mapping from every
-    naf literal id of ``gp``, and the order is ``gp.frozen_components``, in
-    which naf is none.
+    item ``not b`` is the point at the number ``naf_values[b]``, a mapping
+    from every naf literal id of ``gp``, and the order is
+    ``gp.frozen_components``, in which naf is none.
 
     An acyclic component is evaluated once; a cyclic one is iterated
     Jacobi-style over its own heads until they are stable within ``eps``,
@@ -444,10 +444,11 @@ def kmin_supported_model(
     contradictory equally-certain complements or an aggregation ties.
 
     ``naf_values`` is a frozen naf assignment: a mapping from each naf
-    literal id b of ``gp`` to the value its ``not b`` items take (a list
-    indexed by literal id works too; no other id is read).  ``gp`` is then
-    evaluated as the positive program with those items frozen, without
-    building it.  Without it ``gp`` must be positive.
+    literal id b of ``gp`` to the float its ``not b`` items take, the naf
+    value 1 - I(b).b, as the exact point at that number (a list indexed by
+    literal id works too; no other id is read).  ``gp`` is then evaluated
+    as the positive program with those items frozen, without building it.
+    Without it ``gp`` must be positive.
     """
     if naf_values is None and gp.has_naf:
         raise ValueError("kmin_supported_model requires a positive program")
@@ -499,7 +500,7 @@ def verify_answer_set(
 
     Answer set iff the candidate is a consistent supported model and equals
     the fixpoint of its own reduct; otherwise the specific failure.  The
-    reduct is ``gp`` with the frozen naf assignment ``{b: naf(I(b))}`` over
+    reduct is ``gp`` with the frozen naf assignment ``{b: 1 - I(b).b}`` over
     ``gp.naf_ids``.  When :func:`solve` computed the candidate itself as the
     fixpoint of ``gp`` frozen at that very assignment (the fixpoint of a
     program without a naf cycle, or a guess fixpoint whose own naf values
@@ -513,7 +514,7 @@ def verify_answer_set(
     in certainty), support (a :class:`Violation`, see
     :func:`_unsupported`), and k-minimality against the reduct's fixpoint.
     Each rule body is evaluated once, its ``not b`` items reading the
-    reduct's ``naf(I(b))``, taken once per naf literal: the model check
+    reduct's ``1 - I(b).b``, taken once per naf literal: the model check
     keeps its value, and the support check folds the kept values of each
     head's rules with ``disj`` and ``kagg``.
     """
@@ -522,7 +523,7 @@ def verify_answer_set(
         return CandidateResult(i, Status.INCONSISTENT, atom)
     values = i.values if i.table is gp.table else [i.value(l) for l in gp.literals]
     # the reduct's naf values, which the rule bodies read as well
-    frozen = {b: naf(values[b]) for b in gp.naf_ids}
+    frozen = {b: 1.0 - values[b].b for b in gp.naf_ids}
     kept = [[] for _ in values]  # per head, the body value of each rule
     for pos, (head, body, weight) in enumerate(gp.compiled):
         value = _body(values, body, weight, frozen)
@@ -532,7 +533,7 @@ def verify_answer_set(
     violation = _unsupported(gp, values, eps, kept)
     if violation is not None:
         return CandidateResult(i, Status.NOT_SUPPORTED, violation)
-    # a naf value is 1 - b, never -0.0: values that are == have equal bits.
+    # a naf value is 1 - b, never -0.0 or nan: numbers that are == have equal bits.
     # A candidate computed at these is its reduct's fixpoint, and its finite
     # values are equal to themselves within eps.
     if i._frozen_at != frozen:
@@ -548,7 +549,7 @@ def verify_answer_set(
 
 
 def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: int):
-    """Possible naf values: image of the weight closure under naf.
+    """Possible naf values: the number 1 - b of each value of the weight closure.
 
     The seeds, TRUE, UNKNOWN and each rule's weight and inline values, are
     taken in program order, not hash order.  The closure is taken at
@@ -559,7 +560,7 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
     the guesses fit ``max_guesses`` is the caller's to check: :func:`solve`
     counts only the naf literals its search guesses.
 
-    The closure and its naf image are built once, level by level from
+    The closure and these numbers are built once, level by level from
     :func:`~fuzzyasp.oracle.closure_levels`: the closure at depth d is the
     first part of the one at d + 1, so its domain is the first part of that
     domain.  From level 2 on, the first domain value past ``max_guesses``
@@ -576,7 +577,7 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
         for kind, x in body:
             if kind == VALUE:
                 seeds[x] = None
-    domain: dict[float, FuzzyTruth] = {}
+    domain: dict[float, float] = {}
     if depth != 0:
         level = start = 0  # the level being read, and len(domain) as it started
         end = None  # the level that ended the run early
@@ -590,7 +591,7 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
                 bs.add(v.b)
                 key = round(1.0 - v.b, 9)
                 if key not in domain:
-                    domain[key] = naf(v)
+                    domain[key] = 1.0 - v.b
                     if level >= 2 and len(domain) ** slots > max_guesses:
                         end = level
                         break
@@ -603,7 +604,7 @@ def _naf_guess_domain(gp: GroundProgram, depth: int, slots: int, max_guesses: in
     if depth == 0:
         domain = {}
         for v in seeds:
-            domain.setdefault(round(1.0 - v.b, 9), naf(v))
+            domain.setdefault(round(1.0 - v.b, 9), 1.0 - v.b)
     return list(domain.values()), depth
 
 
@@ -666,12 +667,12 @@ def _self_consistent_guesses(
 ):
     """Every guess over ``domains`` whose frozen fixpoint reproduces it.
 
-    ``domains`` maps each naf literal id of ``gp`` to its list of values:
-    the same guess domain for every id, or one value per id where the
-    well-founded bounds pin them.  A guess gives each naf literal id a value
-    of its list; it is kept when its frozen fixpoint exists (no
-    Inconsistent, NonConvergent or MonotonicityError) and ``equal`` within
-    ``eps`` puts each literal's naf value at its guess.  Returns
+    ``domains`` maps each naf literal id of ``gp`` to its list of naf
+    values, numbers: the same guess domain for every id, or one value per
+    id where the well-founded bounds pin them.  A guess gives each naf
+    literal id a value of its list; it is kept when its frozen fixpoint
+    exists (no Inconsistent, NonConvergent or MonotonicityError) and puts
+    each literal's naf value 1 - b within ``eps`` of its guess.  Returns
     ``(fixpoint, guess)`` pairs, the guess a dict in ``gp.naf_ids`` order,
     in the order of ``itertools.product(*(domains[b] for b in
     gp.naf_ids))``.
@@ -694,8 +695,6 @@ def _self_consistent_guesses(
     list, in ``gp.naf_ids`` order, they are the joint enumeration's guesses,
     in its order, with its bits.
     """
-    # a naf value is a point (a = b = c = d), so ``equal`` to one compares a
-    points = {b: [v.a for v in domain] for b, domain in domains.items()}
     values = [UNKNOWN] * len(gp.literals)
     frozen: dict = {}  # naf id -> its value on the current branch
 
@@ -703,10 +702,10 @@ def _self_consistent_guesses(
         options = []
         for b, guessed in reads:
             if guessed:
-                options.append(range(len(points[b])))
+                options.append(range(len(domains[b])))
             else:
-                t = naf(values[b]).a
-                options.append([i for i, p in enumerate(points[b]) if abs(t - p) <= eps])
+                t = 1.0 - values[b].b
+                options.append([i for i, p in enumerate(domains[b]) if abs(t - p) <= eps])
         return itertools.product(*options)
 
     local = []  # per block: its heads, and per kept branch its choices and head values
@@ -728,7 +727,7 @@ def _self_consistent_guesses(
                 _evaluate(gp, component, values, frozen, eps, max_iter)
             except (Inconsistent, NonConvergent, MonotonicityError):
                 continue
-            if not all(equal(naf(values[b]), frozen[b], eps) for b in checks):
+            if not all(abs(1.0 - values[b].b - frozen[b]) <= eps for b in checks):
                 continue
             if k + 1 < len(block):
                 stack.append(choices(block[k + 1][1]))
@@ -771,17 +770,11 @@ def _monotone(gp: GroundProgram) -> bool:
     )
 
 
-def _naf_point(b: float) -> FuzzyTruth:
-    """The naf value of any value whose b is ``b``."""
-    v = 1.0 - b
-    return FuzzyTruth(v, v, v, v)
-
-
 def _naf_bounds(gp: GroundProgram, eps: float, max_iter: int):
     """Alternating-fixpoint bounds ``(lo, hi)`` on the b of each naf literal, or None.
 
     ``F(x)`` is the b of each literal of ``gp.naf_ids`` (a list in that
-    order) in the frozen fixpoint at naf values ``1 - x``, taken as 0 or 1
+    order) in the frozen fixpoint at the naf numbers ``1 - x``, taken as 0 or 1
     when it lies within :data:`SNAP` of it.  Where every b is
     monotone in every naf value (see :func:`_monotone`) F is antitone, so
     from ``lo = 0`` each alternation ``hi = F(lo)``, ``lo = F(hi)`` keeps
@@ -791,14 +784,14 @@ def _naf_bounds(gp: GroundProgram, eps: float, max_iter: int):
     raises Inconsistent, NonConvergent or MonotonicityError.
 
     When they pin every literal, :func:`_pinned_domains` hands the search
-    one value per literal, its naf at ``lo``.  A snapped ``lo`` need not be
+    one naf value per literal, the number ``1 - lo``.  A snapped ``lo`` need not be
     reproduced by its own fixpoint (a b of 5e-7 is pinned at 0); the
     search then keeps no guess.
     """
     naf_ids = gp.naf_ids
 
     def bound(x: list) -> list:
-        frozen = {b: _naf_point(v) for b, v in zip(naf_ids, x)}
+        frozen = {b: 1.0 - v for b, v in zip(naf_ids, x)}
         values = _fixpoint(gp, eps, max_iter, naf_values=frozen).values
         bs = (values[b].b for b in naf_ids)
         return [0.0 if v <= SNAP else 1.0 if v >= 1.0 - SNAP else v for v in bs]
@@ -820,14 +813,14 @@ def _pinned_domains(gp: GroundProgram, eps: float, max_iter: int) -> dict | None
 
     None unless ``gp`` is :func:`_monotone` and its bounds have
     ``hi - lo <= eps`` at every naf literal.  Then each naf literal id maps
-    to a list of one value, its naf at ``lo``: the domains of
+    to a list of one number, its naf value ``1 - lo``: the domains of
     :func:`_self_consistent_guesses`, whose filter and checks keep that one
     guess only when its frozen fixpoint reproduces it.
     """
     bounds = _naf_bounds(gp, eps, max_iter) if _monotone(gp) else None
     if bounds is None or any(h - l > eps for l, h in zip(*bounds)):
         return None
-    return {b: [_naf_point(x)] for b, x in zip(gp.naf_ids, bounds[0])}
+    return {b: [1.0 - x] for b, x in zip(gp.naf_ids, bounds[0])}
 
 
 def _distinct(found: list, naf_ids: tuple, eps: float) -> list:
@@ -955,7 +948,7 @@ def solve(
     found: list[tuple[Interpretation, dict | None]] = []
     try:
         fix = _fixpoint(gp, eps, max_iter, report=report)
-        found.append((fix, None if naf_cycle else {b: naf(fix.values[b]) for b in naf_ids}))
+        found.append((fix, None if naf_cycle else {b: 1.0 - fix.values[b].b for b in naf_ids}))
     except Inconsistent as exc:
         report.candidates.append(CandidateResult(None, Status.INCONSISTENT, exc.atom))
     except NonConvergent:

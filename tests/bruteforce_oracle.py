@@ -240,7 +240,7 @@ def joint_solve(gp, *, eps=EPS, max_iter=solver.DEFAULT_MAX_ITER, guess_depth=3,
                 )
             except (solver.Inconsistent, solver.NonConvergent, solver.MonotonicityError):
                 continue
-            if all(equal(naf(fix.values[b]), v, eps) for b, v in guess.items()):
+            if all(abs(naf(fix.values[b]).a - v) <= eps for b, v in guess.items()):
                 found.append(fix)
     candidates = pairwise_distinct([(fix, None) for fix in found], eps)
     results += [

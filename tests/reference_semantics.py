@@ -28,6 +28,7 @@ from fuzzyasp import (
     conj,
     disj,
     equal,
+    ifn,
     kagg,
     naf,
     negate,
@@ -77,16 +78,16 @@ def target(own, against, eps: float = DEFAULT_EPS) -> FuzzyTruth:
 def compiled_body(values: list, body: tuple, weight: FuzzyTruth, naf_values) -> FuzzyTruth:
     """:func:`fold` of a compiled body over values indexed by literal id.
 
-    ``(LIT, l)`` reads ``values[l]``; ``(NAF, b)`` reads ``naf_values[b]``
-    when they are given and naf of ``values[b]`` otherwise; ``(VALUE, v)``
-    is ``v``.
+    ``(LIT, l)`` reads ``values[l]``; ``(NAF, b)`` reads the point at the
+    number ``naf_values[b]`` when they are given and naf of ``values[b]``
+    otherwise; ``(VALUE, v)`` is ``v``.
     """
 
     def value(kind, x):
         if kind == LIT:
             return values[x]
         if kind == NAF:
-            return naf(values[x]) if naf_values is None else naf_values[x]
+            return naf(values[x]) if naf_values is None else ifn(naf_values[x], naf_values[x])
         return x
 
     return fold(itertools.starmap(value, body), weight)

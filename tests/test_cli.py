@@ -3,6 +3,7 @@ import logging
 import os
 import pathlib
 import random
+import re
 import string
 import subprocess
 import sys
@@ -14,6 +15,33 @@ from fuzzyasp import DomainError, ParseError, ground, parse, parse_value
 from fuzzyasp.cli import EXIT_BROKEN_PIPE, MAX_PAREN_DEPTH, MAX_STEP_DENOMINATOR, main
 from fuzzyasp.solver import DEFAULT_MAX_ITER
 from fuzzyasp.truthspace import DEFAULT_EPS
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+def golden_cases(command: str, extension: str) -> list[str]:
+    """The program and flags of each ``<stem>_<command>[_<flag>].<extension>`` golden file.
+
+    The golden files are those of ``tests/fixtures``, in name order.  A
+    flag adds its name to the golden file's: ``crisp_loop3_solve_trace.json``
+    is the case ``tests/fixtures/crisp_loop3.fasp --trace``.  The program
+    is ``tests/fixtures/<stem>.fasp``, or ``programs/<stem>.fasp`` when the
+    fixtures hold none.
+    """
+    pattern = rf"(.+?)_{command}((?:_[a-z]+)*)\.{extension}"
+    cases = []
+    for golden in sorted(FIXTURES.iterdir()):
+        match = re.fullmatch(pattern, golden.name)
+        if match is None:
+            continue
+        stem, suffix = match.groups()
+        program = f"tests/fixtures/{stem}.fasp"
+        if not (ROOT / program).exists():
+            program = f"programs/{stem}.fasp"
+        cases.append(" ".join([program, *(f"--{flag}" for flag in suffix.split("_")[1:])]))
+    return cases
 
 
 def run(capsys, *argv):
@@ -307,55 +335,25 @@ class TestSolveCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].count('"answer_sets"') == len(paths)
 
-    @pytest.mark.parametrize(
-        "program",
-        [
-            "programs/choice.fasp",
-            "programs/flying.fasp",
-            "tests/fixtures/crisp_loop3.fasp",
-            "tests/fixtures/crisp_loop5.fasp",
-            "tests/fixtures/weighted_loop.fasp",
-            "tests/fixtures/naf_strata.fasp",
-            "tests/fixtures/crisp_loop3.fasp --trace",
-            "tests/fixtures/fuzzy_args.fasp",
-            "tests/fixtures/truncated_paths.fasp",
-            "tests/fixtures/truncated_paths.fasp --trace",
-            "tests/fixtures/closure_cap.fasp",
-            "tests/fixtures/pinned_guess_limit.fasp",
-            "tests/fixtures/pinned_rejected.fasp",
-            "tests/fixtures/pinned_rejected.fasp --trace",
-            "tests/fixtures/lexer_edges.fasp",
-            "tests/fixtures/repeated_values.fasp",
-            "tests/fixtures/repeated_values.fasp --trace",
-            "tests/fixtures/support_tie.fasp",
-            "tests/fixtures/support_truncated.fasp",
-            "tests/fixtures/support_aggregated.fasp",
-        ],
-    )
+    @pytest.mark.parametrize("program", golden_cases("solve", "json"))
     def test_json_output_matches_golden_file(self, capsys, program):
-        # pins the answer-set order and every printed value, byte for byte;
-        # a flag adds its name to the golden file's: crisp_loop3_solve_trace.json
+        # pins the answer-set order and every printed value, byte for byte
         program, *flags = program.split()
-        root = pathlib.Path(__file__).resolve().parent.parent
         suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
-        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve{suffix}.json"
-        code, out, _ = run(capsys, "solve", str(root / program), "--json", *flags)
+        golden = FIXTURES / f"{pathlib.Path(program).stem}_solve{suffix}.json"
+        code, out, _ = run(capsys, "solve", str(ROOT / program), "--json", *flags)
         # a run without an answer set exits 1
         assert code == (0 if json.loads(golden.read_text())["answer_sets"] else 1)
         assert out == golden.read_text()
 
-    @pytest.mark.parametrize(
-        "program",
-        ["tests/fixtures/repeated_values.fasp", "tests/fixtures/repeated_values.fasp --trace"],
-    )
+    @pytest.mark.parametrize("program", golden_cases("solve", "txt"))
     def test_text_output_matches_golden_file(self, capsys, program):
-        # the closure repeats a handful of values, and a and b hold values
-        # that are == yet differ in the sign of a zero
+        # repeated_values: the closure repeats a handful of values, and a
+        # and b hold values that are == yet differ in the sign of a zero
         program, *flags = program.split()
-        root = pathlib.Path(__file__).resolve().parent.parent
         suffix = "".join(f"_{flag.lstrip('-')}" for flag in flags)
-        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_solve{suffix}.txt"
-        code, out, _ = run(capsys, "solve", str(root / program), *flags)
+        golden = FIXTURES / f"{pathlib.Path(program).stem}_solve{suffix}.txt"
+        code, out, _ = run(capsys, "solve", str(ROOT / program), *flags)
         assert code == 0
         assert out == golden.read_text()
 
@@ -399,16 +397,12 @@ class TestParseOnly:
         code2, out2, _ = run(capsys, "parse-only", str(path2))
         assert code2 == 0 and out2 == out
 
-    @pytest.mark.parametrize(
-        "program",
-        ["programs/flying.fasp", "tests/fixtures/fuzzy_args.fasp", "tests/fixtures/lexer_edges.fasp"],
-    )
+    @pytest.mark.parametrize("program", golden_cases("parse_only", "txt"))
     def test_output_matches_golden_file(self, capsys, program):
         # pins the ground rule order and every rendered rule, byte for byte:
         # a constant keeps its own spelling (tfn(0.0,...) beside tfn(-0.0,...))
-        root = pathlib.Path(__file__).resolve().parent.parent
-        golden = root / "tests" / "fixtures" / f"{pathlib.Path(program).stem}_parse_only.txt"
-        code, out, _ = run(capsys, "parse-only", str(root / program))
+        golden = FIXTURES / f"{pathlib.Path(program).stem}_parse_only.txt"
+        code, out, _ = run(capsys, "parse-only", str(ROOT / program))
         assert code == 0
         assert out == golden.read_text()
 

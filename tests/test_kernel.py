@@ -16,7 +16,6 @@ from fuzzyasp import (
     AggregationTie,
     FuzzyTruth,
     OrderViolation,
-    naf,
     tfn,
     trfn,
 )
@@ -62,11 +61,11 @@ def rules(draw):
 
 @st.composite
 def states(draw):
-    """Literal values, and a frozen naf assignment or None."""
+    """Literal values, and a frozen naf assignment (numbers 1 - b) or None."""
     values = draw(st.lists(truth_values, min_size=SLOTS, max_size=SLOTS))
     naf_values = draw(
         st.none()
-        | st.lists(truth_values.map(naf), min_size=SLOTS, max_size=SLOTS).map(
+        | st.lists(truth_values.map(lambda v: 1.0 - v.b), min_size=SLOTS, max_size=SLOTS).map(
             lambda points: dict(enumerate(points))
         )
     )
@@ -94,7 +93,7 @@ class TestKernelBits:
     @given(states(), rules())
     @example(SIGNED_ZEROS, ZERO_RULES)
     @example(OVERFLOW, OVERFLOW_RULES)
-    @example(([TRUE] * SLOTS, {i: naf(TRUE) for i in range(SLOTS)}), TRUNCATED_RULES)
+    @example(([TRUE] * SLOTS, {i: 1.0 - TRUE.b for i in range(SLOTS)}), TRUNCATED_RULES)
     def test_body_matches_reference_fold(self, state, rules):
         values, naf_values = state
         for body, weight in rules:

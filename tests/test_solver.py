@@ -24,6 +24,7 @@ from fuzzyasp import (
     Inconsistent,
     Interpretation,
     Literal,
+    MonotonicityError,
     Naf,
     NonConvergent,
     OracleArgumentError,
@@ -38,7 +39,6 @@ from fuzzyasp import (
     is_inconsistent,
     kmin_supported_model,
     measure,
-    naf,
     oracle,
     parse,
     solve,
@@ -48,6 +48,7 @@ from fuzzyasp import (
     uncertainty_degree,
     verify_answer_set,
 )
+from fuzzyasp import cli
 from fuzzyasp.program import VALUE
 from fuzzyasp.solver import DEFAULT_MAX_ITER
 from fuzzyasp.truthspace import DEFAULT_EPS
@@ -225,6 +226,19 @@ class TestKMinimalModel:
         with pytest.raises(ValueError):
             kmin_supported_model(ground(parse("a <- not b.")))
 
+    def test_frozen_naf_values_are_numbers_keyed_by_literal_id(self):
+        # each not b item is the point at naf_values[b]: a = 0.4 & ifn(0.5,1),
+        # c = a & 1.0, and b and d have no rules, so they stay unknown
+        gp = ground(parse("a <- not b. [ifn(0.5,1)] c <- a, not d."))
+        ids = gp.table.ids
+        fix = kmin_supported_model(gp, naf_values={ids[lit("b")]: 0.4, ids[lit("d")]: 1.0})
+        assert fix.assignment == {
+            lit("a"): ifn(0.2, 0.4),
+            lit("b"): UNKNOWN,
+            lit("c"): ifn(0.2, 0.4),
+            lit("d"): UNKNOWN,
+        }
+
     def test_uncertainty_never_increases_along_iteration(self, tumor_source):
         report = solve(parse(tumor_source), collect_trace=True)
         (fix,) = report.answer_sets
@@ -318,6 +332,15 @@ class TestVerifyAnswerSet:
         result = verify_answer_set(gp, i)
         assert result.status is Status.NOT_SUPPORTED
         assert result.detail == solver.Violation(lit("a"), 3)
+
+    def test_an_inconsistent_candidate_fails_before_its_rules_are_checked(self):
+        # a and -a are equally certain and disagree.  Past the consistency
+        # check, the support check would report an aggregation tie at a.
+        gp = ground(parse("a. [ifn(0.6,0.6)] -a. [ifn(0.6,0.6)]"))
+        i = interp(a=ifn(0.6, 0.6), n_a=ifn(0.6, 0.6))
+        assert repr(i) == "{a: ifn(0.6,0.6), -a: ifn(0.6,0.6)}"
+        result = verify_answer_set(gp, i)
+        assert (result.status, result.detail) == (Status.INCONSISTENT, Atom("a"))
 
     def test_inconsistent_reduct_fixpoint(self):
         # a supported model, but -a has no rules: the reduct's fixpoint
@@ -652,7 +675,7 @@ class TestGuessLimits:
         capped = functools.partial(oracle.closure_levels, cap=2)
         monkeypatch.setattr(oracle, "closure_levels", capped)
         gp = ground(parse("a <- not a. [ifn(0,0)]"))
-        assert solver._naf_guess_domain(gp, 3, 1, 100) == ([FALSE, TRUE], 0)
+        assert solver._naf_guess_domain(gp, 3, 1, 100) == ([0.0, 1.0], 0)
 
     @pytest.mark.parametrize("depth, message", [(-1, "non-negative"), (5, "at most 4")])
     def test_depth_out_of_range(self, depth, message):
@@ -698,7 +721,7 @@ def retry_guess_domain(gp, depth, slots, max_guesses):
             closure = tuple(seeds)
         domain = {}
         for v in closure:
-            domain.setdefault(round(1.0 - v.b, 9), naf(v))
+            domain.setdefault(round(1.0 - v.b, 9), 1.0 - v.b)
         guesses = len(domain) ** slots
         if guesses <= max_guesses:
             return list(domain.values()), depth
@@ -713,7 +736,7 @@ def _domain_outcome(run):
         domain, depth = run()
     except FuzzyAspError as exc:
         return type(exc).__name__, str(exc)
-    return depth, [struct.pack("4d", *v) for v in domain]
+    return depth, [struct.pack("d", v) for v in domain]
 
 
 def _seeded_loop(weights):
@@ -1058,9 +1081,9 @@ class TestWellFoundedBounds:
         gp = ground(parse((FIXTURES / "pinned_rejected.fasp").read_text()))
         domains = solver._pinned_domains(gp, DEFAULT_EPS, DEFAULT_MAX_ITER)
         p0, p1 = (gp.table.ids[lit(name)] for name in ("p0", "p1"))
-        assert domains[p0] == [TRUE]
+        assert domains[p0] == [1.0]
         (point,) = domains[p1]
-        assert equal(point, ifn(0.001, 0.001), 1e-8)
+        assert abs(point - 0.001) <= 1e-8
         blocks = solver._search_blocks(gp)
         found = solver._self_consistent_guesses(gp, blocks, domains, DEFAULT_EPS, DEFAULT_MAX_ITER)
         assert found == []
@@ -1150,6 +1173,28 @@ class TestFailureBranches:
         report = solve(parse(self.REDUCT))
         assert report.guess_depth is None
         assert [c.status for c in report.candidates] == [Status.ANSWER_SET]
+
+    # p1 has a naf cycle, so the first fixpoint runs it as a trajectory,
+    # with no monotonicity check.  The reduct's frozen fixpoint at that
+    # candidate raises MonotonicityError, which verification lets out of
+    # solve, while the search only cuts a guess on it.  Today's behaviour,
+    # pinned until ROADMAP item 1 decides how a per-component error is
+    # reported.
+    MONOTONICITY = (
+        "p1 <- p1. [tfn(0.1,0.6,1.2)]\n"
+        "p0 <- not p1. [trfn(-0.0,0,-0.0,1)]\n"
+        "p1 <- not p1. [tfn(0.4,0.4,1.5)]\n"
+    )
+
+    def test_a_monotonicity_error_in_verification_ends_solve(self, tmp_path, capsys):
+        with pytest.raises(MonotonicityError, match="uncertainty increased at p1: "):
+            solve(parse(self.MONOTONICITY))
+        path = tmp_path / "p.fasp"
+        path.write_text(self.MONOTONICITY)
+        assert cli.main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: uncertainty increased at p1: ")
 
 
 class TestKnownDefects:
