@@ -29,7 +29,6 @@ from .connectives import conj, disj, kagg, naf, negate
 from .measures import Rel, compare, measure
 from .program import Program, _Parser, ground, parse, parse_value
 from .solver import DEFAULT_MAX_ITER, solve
-from .table import lattice_table
 from .truthspace import DEFAULT_EPS, FuzzyTruth
 
 
@@ -312,6 +311,9 @@ def _parse_step(text: str) -> int:
 
 
 def _cmd_table(args) -> int:
+    # exact rationals (fractions, and with it decimal and numbers) serve this command alone
+    from .table import lattice_table
+
     rows = lattice_table(_parse_step(args.step))
     widths = (5, 28, 12, 12)
     header = ("kind", "value", "t", "k")

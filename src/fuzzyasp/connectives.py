@@ -22,12 +22,14 @@ computes the same restricted forms in place, on float parameters, and calls
 item is the one number 1 - b, taken as all four parameters: the point
 :func:`naf` builds, without building it.
 ``tests/test_kernel.py`` holds it bit for bit to the fold through ``conj``
-and ``disj`` in ``tests/reference_semantics.py``.  That copy serves the
-fixpoint alone.  The support check of ``verify_answer_set`` folds the body
-values its model check kept by calling :func:`disj`, and aggregates
-against a complement's evidence with :func:`kagg` and :func:`negate`; the
-operator closure (``oracle.closure_levels``) builds every value by calling
-``negate``, ``naf``, ``conj`` and ``disj``.
+and ``disj`` in ``tests/reference_semantics.py``.  The support check of
+``verify_answer_set`` folds the body values its model check kept with
+``solver._disjunction``, the same two forms of :func:`disj` on float
+parameters, which ``tests/test_kernel.py`` holds bit for bit to
+``functools.reduce(disj, ...)``; it aggregates against a complement's
+evidence with :func:`kagg` and :func:`negate`.  The operator closure
+(``oracle.closure_levels``) builds every value by calling ``negate``,
+``naf``, ``conj`` and ``disj``.
 
 Every value ``conj`` and ``disj`` return has finite parameters, as
 :func:`~fuzzyasp.truthspace.make` requires of its input.  Only the general

@@ -247,6 +247,15 @@ class GroundProgram:
         under the key ``(predicate, negated, indices of its arguments)``,
         which hashes without calling back into Python, and its Literal is
         built only the first time its key turns up.
+
+        An item of a rule is the same for every instance that picks the
+        same argument indices for it, so each item of a rule with variables
+        keeps a memo from those indices (``None`` for an item without
+        variables) to its compiled ``(kind, id)``: the key and the item are
+        built once per distinct literal per rule, not once per instance.  A
+        rule without variables has one instance, and its items keep none.
+        Ids are still given in instance order, head first, as each key
+        first turns up.
         """
         terms = tuple(universe)
         ids: dict = {}
@@ -254,22 +263,31 @@ class GroundProgram:
         compiled: list = []
         for rule, k, specs, const_ids, const_terms in templates:
             weight = rule.weight
+            plan = [(kind, x, key, pick, {}) for kind, x, key, pick, _ in specs] if k else specs
             for combo in itertools.product(range(len(terms)), repeat=k):
                 at = combo + const_ids
-                instance = None  # the binding's terms, once a new literal needs them
                 items = []
-                for kind, x, key, pick in specs:
-                    if kind != VALUE:
+                for kind, x, key, pick, memo in plan:
+                    if memo is not None:
+                        picked = None if pick is None else pick(at)
+                        item = memo.get(picked)
+                        if item is not None:
+                            items.append(item)
+                            continue
                         if pick is not None:
-                            key = (x.atom.predicate, x.negated, pick(at))
+                            key = (x.atom.predicate, x.negated, picked)
+                    if kind != VALUE:
                         i = ids.get(key)
                         if i is None:
                             i = ids[key] = len(literals)
-                            if pick is not None and instance is None:
-                                instance = tuple(terms[j] for j in combo) + const_terms
-                            literals.append(_instance(x, pick, instance))
+                            if pick is not None:
+                                x = _instance(x, pick, tuple(terms[j] for j in combo) + const_terms)
+                            literals.append(x)
                         x = i
-                    items.append((kind, x))
+                    item = (kind, x)
+                    if memo is not None:
+                        memo[picked] = item
+                    items.append(item)
                 compiled.append((items[0][1], tuple(items[1:]), weight))
         self._templates, self._terms = templates, terms
         self.table = LiteralTable(
@@ -299,7 +317,7 @@ class GroundProgram:
                     x if kind == VALUE
                     else Naf(_instance(x, pick, instance)) if kind == NAF
                     else _instance(x, pick, instance)
-                    for kind, x, _, pick in specs
+                    for kind, x, _, pick, _ in specs
                 )
                 rules.append(Rule(head, tuple(body), rule.weight, rule.label))
         return tuple(rules)
@@ -375,8 +393,10 @@ def _template(rule: Rule, universe: dict) -> tuple:
     variable has no positive body occurrence.  ``k`` counts the variables;
     a binding of them, sorted by name, followed by ``const_ids`` is what
     ``pick`` reads.  ``specs`` has per item (head first) ``(kind, literal
-    or value, key, pick)``: a literal without variables has its one key,
-    one with variables the picker of its arguments' indices.  The
+    or value, key, pick, None)``: a literal without variables has its one
+    key, one with variables the picker of its arguments' indices.  The
+    None stands where :meth:`GroundProgram._compile` puts an item's memo,
+    which only the items of a rule with variables get.  The
     constants of those literals are at ``const_ids``, and as written in
     ``const_terms``.
     """
@@ -386,7 +406,7 @@ def _template(rule: Rule, universe: dict) -> tuple:
     needed: set = set()  # variables of the head and naf literals
     for n, x in enumerate((rule.head, *rule.body)):
         if isinstance(x, FuzzyTruth):
-            specs.append((VALUE, x, None, None))
+            specs.append((VALUE, x, None, None, None))
             continue
         kind, literal = (NAF, x.literal) if isinstance(x, Naf) else (LIT, x)
         atom = literal.atom
@@ -401,7 +421,7 @@ def _template(rule: Rule, universe: dict) -> tuple:
             with_variables.append((len(specs), kind, literal, indices))
             specs.append(None)
         else:  # one key for every binding
-            specs.append((kind, literal, (atom.predicate, literal.negated, tuple(indices)), None))
+            specs.append((kind, literal, (atom.predicate, literal.negated, tuple(indices)), None, None))
     if not with_variables:
         return rule, 0, specs, (), ()
     unsafe = needed - positive
@@ -420,7 +440,7 @@ def _template(rule: Rule, universe: dict) -> tuple:
                 positions.append(k + len(const_ids))
                 const_ids.append(i)
                 const_terms.append(t)
-        specs[at] = (kind, literal, None, _picker(positions))
+        specs[at] = (kind, literal, None, _picker(positions), None)
     return rule, k, specs, tuple(const_ids), tuple(const_terms)
 
 
@@ -442,48 +462,65 @@ def _instance(literal: Literal, pick, terms: tuple) -> Literal:
 def _strongly_connected(deps: dict) -> list[tuple[tuple, bool]]:
     """Tarjan's algorithm, iterative; each component comes after those it depends on.
 
-    Returns (members in ``deps`` order, cyclic) per component.
+    Returns (members in ``deps`` order, cyclic) per component.  Every
+    successor must be a key of ``deps``.
+
+    The walk runs on positions in ``deps``: each node's successors are
+    translated as it is entered, and the visit order, low links and stack
+    membership are lists indexed by position, so the members of a
+    component sort as plain integers.
     """
-    position = {node: i for i, node in enumerate(deps)}
-    order: dict = {}
-    low: dict = {}
+    nodes = list(deps)
+    index = {node: i for i, node in enumerate(nodes)}.__getitem__
+    node_at = nodes.__getitem__
+    order = [-1] * len(nodes)  # visit number, -1 before the visit
+    low = [0] * len(nodes)
+    on_stack = [False] * len(nodes)
     stack: list = []
-    on_stack: set = set()
     found: list[tuple[tuple, bool]] = []
-    for root in deps:
-        if root in order:
+    visited = 0
+    for root in range(len(nodes)):
+        if order[root] >= 0:
             continue
-        order[root] = low[root] = len(order)
+        order[root] = low[root] = visited
+        visited += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(deps[root]))]
+        on_stack[root] = True
+        work = [(root, map(index, deps[nodes[root]]))]
         while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if nxt not in order:
-                    order[nxt] = low[nxt] = len(order)
+            node, pending = work[-1]
+            for nxt in pending:
+                if order[nxt] < 0:
+                    order[nxt] = low[nxt] = visited
+                    visited += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(deps[nxt])))
+                    on_stack[nxt] = True
+                    work.append((nxt, map(index, deps[nodes[nxt]])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], order[nxt])
+                if on_stack[nxt] and order[nxt] < low[node]:
+                    low[node] = order[nxt]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                 if low[node] == order[node]:
+                    head = nodes[node]
+                    if stack[-1] == node:  # a component of one node, the common case
+                        stack.pop()
+                        on_stack[node] = False
+                        found.append(((head,), head in deps[head]))
+                        continue
                     members = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        on_stack[member] = False
                         members.append(member)
                         if member == node:
                             break
-                    members.sort(key=position.__getitem__)
-                    cyclic = len(members) > 1 or node in deps[node]
-                    found.append((tuple(members), cyclic))
+                    members.sort()
+                    found.append((tuple(map(node_at, members)), True))
     return found
 
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import bisect
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 # conj is unused here, but bench/tracing.py counts its calls through this name
-from .connectives import _finite, _product, conj, disj, kagg, negate  # noqa: F401
+from .connectives import _finite, _product, conj, kagg, negate  # noqa: F401
 from .errors import (
     AggregationTie,
     ClosureTooLarge,
@@ -28,7 +27,7 @@ from .errors import (
     NonConvergent,
     OrderViolation,
 )
-from .measures import truth_degree, uncertainty_degree
+from .measures import _mean, truth_degree, uncertainty_degree
 from .program import (
     LIT,
     NAF,
@@ -183,15 +182,6 @@ def _body(values: list, body: tuple, weight: FuzzyTruth, naf_values: dict | None
     return _finite(*_product(a, b, c, d, ya, yb, yc, yd))
 
 
-def _satisfied(head: FuzzyTruth, body: FuzzyTruth, eps: float) -> bool:
-    """A rule holds: its head equals its body value or strictly exceeds it in either order."""
-    if equal(head, body, eps):
-        return True
-    if uncertainty_degree(head) < uncertainty_degree(body) - eps:
-        return True
-    return truth_degree(head) > truth_degree(body) + eps
-
-
 def _contribution(values: list, rules, naf_values) -> FuzzyTruth:
     """Disjunction fold (program order) of the body values of one head's rules.
 
@@ -220,6 +210,38 @@ def _contribution(values: list, rules, naf_values) -> FuzzyTruth:
             )
             a, b, c, d = _finite(1.0 - pd, 1.0 - pc, 1.0 - pb, 1.0 - pa)
     return FuzzyTruth(a, b, c, d)
+
+
+def _disjunction(values: list) -> tuple:
+    """Disjunction fold, in order, of ``(a, b, c, d)`` values; one value comes back as it is.
+
+    The support check's fold: the bits of ``functools.reduce(disj,
+    values)``, computed as :func:`_contribution` folds its rules, the
+    restricted form of :func:`~fuzzyasp.connectives.disj` on float
+    parameters and its general form (which raises OrderViolation on
+    overflow) only when an operand is truncated.  No value is built
+    between steps.
+    """
+    if len(values) == 1:
+        return values[0]
+    a = None
+    for ya, yb, yc, yd in values:
+        if a is None:
+            a, b, c, d = ya, yb, yc, yd
+        elif 0.0 <= a and 0.0 <= ya and d <= 1.0 and yd <= 1.0:
+            a, b, c, d = (
+                1.0 - (1.0 - a) * (1.0 - ya),
+                1.0 - (1.0 - b) * (1.0 - yb),
+                1.0 - (1.0 - c) * (1.0 - yc),
+                1.0 - (1.0 - d) * (1.0 - yd),
+            )
+        else:
+            pa, pb, pc, pd = _product(
+                1.0 - d, 1.0 - c, 1.0 - b, 1.0 - a,
+                1.0 - yd, 1.0 - yc, 1.0 - yb, 1.0 - ya,
+            )
+            a, b, c, d = _finite(1.0 - pd, 1.0 - pc, 1.0 - pb, 1.0 - pa)
+    return a, b, c, d
 
 
 def _target(values: list, own, against, naf_values, eps: float) -> FuzzyTruth:
@@ -258,7 +280,8 @@ def _unsupported(gp: GroundProgram, values: list, eps: float, kept: list) -> Vio
 
     ``kept[h]`` lists the body values of literal h's rules in program
     order, as :func:`verify_answer_set`'s model check computed them.  A
-    head's supported value is their fold with
+    head's supported value is their fold by :func:`_disjunction`, on float
+    parameters with the bits of a fold through
     :func:`~fuzzyasp.connectives.disj` (a one-rule head's is its kept value
     itself), aggregated with :func:`~fuzzyasp.connectives.kagg` against the
     ``negate`` of its complement's fold when the complement has rules.
@@ -271,9 +294,9 @@ def _unsupported(gp: GroundProgram, values: list, eps: float, kept: list) -> Vio
         own = kept[head]
         against = kept[complement[head]] if complement[head] >= 0 else ()
         try:
-            expected = functools.reduce(disj, own)
+            expected = _disjunction(own)
             if against:
-                expected = kagg(expected, negate(functools.reduce(disj, against)), eps)
+                expected = kagg(expected, negate(_disjunction(against)), eps)
         except AggregationTie:
             return Violation(gp.literals[head], 3)
         if not equal(values[head], expected, eps):
@@ -345,8 +368,10 @@ def _evaluate(
     must already hold its final value.  Raises as :func:`_fixpoint` does.
 
     An acyclic component has one head, which none of its rules read, so it
-    is evaluated in one step: one :func:`_contribution`, one round counted
-    and traced, then the contradiction check.  Its OrderViolation is
+    is evaluated in one step: its rule's :func:`_body` when it has one rule
+    and :func:`_contribution` otherwise (the same bits), one round counted
+    and traced, then the contradiction check, which can fire only when the
+    head's complement is in the table.  Its OrderViolation is
     ``NonConvergent(1)``.  No aggregation runs there: a complement with
     rules is a head that depends on its complement and is depended on by
     it, so the two share a cyclic component.
@@ -355,16 +380,21 @@ def _evaluate(
     if not cyclic:
         ((head, own, _),) = plan
         try:
-            values[head] = _contribution(values, own, naf_values)
+            if len(own) == 1:
+                ((body, weight),) = own
+                values[head] = FuzzyTruth(*_body(values, body, weight, naf_values))
+            else:
+                values[head] = _contribution(values, own, naf_values)
         except OrderViolation as exc:
             raise NonConvergent(1) from exc
         if report is not None:
             report.iterations += 1
             if report.trace is not None:
                 report.trace.append(Interpretation.of(gp.table, list(values)))
-        atom = _contradiction(gp.table, values, heads, eps)
-        if atom is not None:
-            raise Inconsistent(atom)
+        if gp.table.complement[head] >= 0:
+            atom = _contradiction(gp.table, values, heads, eps)
+            if atom is not None:
+                raise Inconsistent(atom)
         return
     for head in heads:
         values[head] = UNKNOWN
@@ -516,7 +546,10 @@ def verify_answer_set(
     Each rule body is evaluated once, its ``not b`` items reading the
     reduct's ``1 - I(b).b``, taken once per naf literal: the model check
     keeps its value, and the support check folds the kept values of each
-    head's rules with ``disj`` and ``kagg``.
+    head's rules with :func:`_disjunction` and ``kagg``.  The model check
+    measures each head's value lazily and once: its k when a rule body
+    first differs from it, its t when the k of such a body first fails to
+    decide.
     """
     atom = is_inconsistent(i, eps)
     if atom is not None:
@@ -525,10 +558,24 @@ def verify_answer_set(
     # the reduct's naf values, which the rule bodies read as well
     frozen = {b: 1.0 - values[b].b for b in gp.naf_ids}
     kept = [[] for _ in values]  # per head, the body value of each rule
+    ks = [None] * len(values)  # per head, its k once the model check needs it
+    ts = [None] * len(values)  # and its t
     for pos, (head, body, weight) in enumerate(gp.compiled):
         value = _body(values, body, weight, frozen)
-        if not _satisfied(values[head], value, eps):
-            return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
+        x = values[head]
+        # the rule holds when its head equals its body value or strictly
+        # exceeds it in certainty or else in truth
+        if not equal(x, value, eps):
+            k = ks[head]
+            if k is None:
+                k = ks[head] = uncertainty_degree(x)
+            kv = uncertainty_degree(value)
+            if not k < kv - eps:
+                t = ts[head]
+                if t is None:
+                    t = ts[head] = _mean(x, k)
+                if not t > _mean(value, kv) + eps:
+                    return CandidateResult(i, Status.NOT_MODEL, gp.rules[pos])
         kept[head].append(value)
     violation = _unsupported(gp, values, eps, kept)
     if violation is not None:

@@ -359,14 +359,16 @@ class TestSolveCommand:
 
     def test_solving_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         # the naf-cycle program needs the guess domain from the operator
-        # closure, which lives next to the quadrature and Monte Carlo checks
+        # closure, which lives next to the quadrature and Monte Carlo checks;
+        # the exact-rational table of the ``table`` command is not loaded either
         path = tmp_path / "choice.fasp"
         path.write_text("a <- not b.\nb <- not a.\n")
+        unloaded = ["numpy", "scipy", "fuzzyasp.table", "fractions"]
         child = (
             "import sys\n"
             "from fuzzyasp.cli import main\n"
             f"assert main(['solve', {str(path)!r}, '--json']) == 0\n"
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+            f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
         )
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(

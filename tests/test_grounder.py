@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fuzzyasp import (
     Atom,
@@ -172,6 +172,21 @@ def assert_same_program(gp: GroundProgram, ref: SimpleNamespace):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(rules(), min_size=1, max_size=5))
+# one literal read twice under variables
+@example(["q(a).", "q(b).", "p(X) <- q(X), q(X)."])
+# the closure's recursive rule
+@example([
+    "edge(a,b).", "edge(b,a).", "edge(b,c).",
+    "path(X,Y) <- edge(X,Y).",
+    "path(X,Y) <- edge(X,Z), path(Z,Y). [ifn(0.9,1)]",
+])
+# equal constants written differently in argument positions of variable rules
+@example([
+    "p(ifn(-0.0,1),a). p(ifn(0.5,0.5),b).",
+    "q(X) <- p(ifn(0.0,1),X), p(trfn(0.5,0.5,0.5,0.5),X).",
+    "-q(X) <- p(X,a), not q(ifn(-0.0,1)), p(X,ifn(0.0,1)).",
+    "r(X,ifn(0.5,0.5)) <- p(X,Y), not r(X,trfn(0.5,0.5,0.5,0.5)).",
+])
 def test_grounder_matches_the_instantiate_then_compile_reference(texts):
     program = parse("\n".join(texts))
     try:

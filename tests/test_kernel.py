@@ -4,8 +4,12 @@
 parameters, taking the restricted forms of ``conj`` and ``disj`` in place.
 The reference is that fold written with the connectives themselves, in
 ``reference_semantics``; the kernel must match it bit for bit, and raise
-where it raises.
+where it raises.  The support check's fold of kept body values,
+``solver._disjunction``, is held to ``functools.reduce(disj, ...)`` the
+same way.
 """
+
+import functools
 
 import hypothesis.strategies as st
 import pytest
@@ -16,11 +20,13 @@ from fuzzyasp import (
     AggregationTie,
     FuzzyTruth,
     OrderViolation,
+    disj,
+    ifn,
     tfn,
     trfn,
 )
 from fuzzyasp.program import LIT, NAF, VALUE
-from fuzzyasp.solver import _body, _contribution, _target
+from fuzzyasp.solver import _body, _contribution, _disjunction, _target
 
 from conftest import any_values, restricted_values
 from reference_semantics import compiled_body, contribution, target
@@ -139,3 +145,40 @@ class TestKernelBits:
         values, naf_values = SIGNED_ZEROS
         assert type(_body(values, ZERO_RULES[0][0], TRUE, naf_values)) is tuple
         assert type(_contribution(values, ZERO_RULES, naf_values)) is FuzzyTruth
+
+
+def kept_values(state, rules):
+    """The body values the model check keeps for ``rules`` in ``state``."""
+    values, naf_values = state
+    return [_body(values, body, weight, naf_values) for body, weight in rules]
+
+
+class TestSupportFold:
+    """``_disjunction`` folds kept body values with the bits of ``reduce(disj, ...)``."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(truth_values, min_size=1, max_size=4))
+    @example(SIGNED_ZEROS[0])
+    @example(kept_values(SIGNED_ZEROS, ZERO_RULES))
+    @example(OVERFLOW[0])
+    def test_fold_matches_reduce_through_disj(self, values):
+        expected = outcome(functools.reduce, disj, values)
+        got = outcome(_disjunction, values)
+        if isinstance(expected, tuple):  # a plain tuple: compare parameters only
+            expected, got = expected[1], got[1]
+        assert got == expected
+
+    def test_a_single_value_comes_back_unchanged(self):
+        for value in (trfn(-0.0, 0, -0.0, 1), kept_values(SIGNED_ZEROS, ZERO_RULES)[0]):
+            assert _disjunction([value]) is value
+
+    def test_a_truncated_operand_takes_the_general_form(self):
+        # the restricted form would give d = 1 - (1 - 1.5) ** 2 = 0.75
+        values = [tfn(0.4, 0.4, 1.5), tfn(0.4, 0.4, 1.5), ifn(0.5, 0.5)]
+        expected = functools.reduce(disj, values)
+        assert bits(_disjunction(values)) == bits(expected)
+        assert _disjunction(values[:2])[3] == 1.3
+
+    def test_overflow_raises_order_violation(self):
+        with pytest.raises(OrderViolation, match="non-finite parameter"):
+            _disjunction(OVERFLOW[0][:2])

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fuzzyasp import (
     TRUE,
@@ -18,7 +20,7 @@ from fuzzyasp import (
     solve,
     tfn,
 )
-from fuzzyasp.program import LIT, NAF, VALUE, Const
+from fuzzyasp.program import LIT, NAF, VALUE, Const, _strongly_connected
 
 
 def lit(name, *args, negated=False):
@@ -268,3 +270,73 @@ class TestCompiledForm:
             assert sorted(heads) == sorted(gp.heads)
             for component in order:
                 assert [step[0] for step in component.plan] == list(component.heads)
+
+
+def reference_strongly_connected(deps: dict) -> list[tuple[tuple, bool]]:
+    """Tarjan's algorithm, iterative, on dicts and a set: the condensation's reference.
+
+    Returns (members in ``deps`` order, cyclic) per component, each
+    component after those it depends on.
+    """
+    position = {node: i for i, node in enumerate(deps)}
+    order: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    found: list[tuple[tuple, bool]] = []
+    for root in deps:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(deps[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(deps[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], order[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order[node]:
+                    members = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        members.append(member)
+                        if member == node:
+                            break
+                    members.sort(key=position.__getitem__)
+                    cyclic = len(members) > 1 or node in deps[node]
+                    found.append((tuple(members), cyclic))
+    return found
+
+
+@st.composite
+def dependency_dicts(draw) -> dict:
+    """0-12 nodes, not in sorted order, each with successors among them in any order."""
+    nodes = draw(st.lists(st.integers(0, 99), unique=True, max_size=12))
+    if not nodes:
+        return {}
+    successors = st.lists(st.sampled_from(nodes), max_size=6).map(tuple)
+    return {node: draw(successors) for node in nodes}
+
+
+class TestCondensation:
+    @settings(max_examples=400, deadline=None)
+    @given(dependency_dicts())
+    def test_matches_the_dict_based_reference(self, deps):
+        assert _strongly_connected(deps) == reference_strongly_connected(deps)
+
+    def test_self_loops_and_cycles_are_cyclic(self):
+        deps = {7: (3,), 3: (7, 3), 5: (5,), 1: ()}
+        assert _strongly_connected(deps) == [((7, 3), True), ((5,), True), ((1,), False)]
